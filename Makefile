@@ -69,12 +69,12 @@ bench-compare:
 	sh tools/benchdiff.sh $(OLD) $(NEW)
 
 # Print the transport real-time factor at 20 MHz (fixed-point streamer
-# headline plus both full-Session lanes); see docs/PERFORMANCE.md.
+# headline plus the full float Session); see docs/PERFORMANCE.md.
 rtf:
 	$(GO) run ./cmd/lscatter-bench -rtf
 
 # Fail when the streamer RTF regresses more than 10% against the recorded
-# baseline in BENCH_R2.json (override RTF_BASELINE to gate against another
+# baseline in BENCH_R3.json (override RTF_BASELINE to gate against another
 # report). The absolute 10x target is advisory here because CI hardware
 # differs; enforce it with `go run ./tools/rtfcheck -require-target`.
 RTF_BASELINE ?= BENCH_R3.json

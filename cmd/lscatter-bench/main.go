@@ -26,11 +26,11 @@
 // summary goes to stderr. See docs/DISTRIBUTED.md.
 //
 // -rtf measures the real-time factor of the transport pipeline at 20 MHz on
-// one goroutine (fixed-point streamer headline plus both full-Session lanes)
+// one goroutine (fixed-point streamer headline plus the full float Session)
 // and prints the result; it composes with -all and -metrics, in which case
 // the measurement lands in the report's "rtf" object. The methodology and
 // the recorded targets live in docs/PERFORMANCE.md; `make rtf-check` gates
-// regressions against BENCH_R2.json.
+// regressions against BENCH_R3.json.
 //
 // -impair is shorthand for the link-resilience sweep (-id R1): the exact
 // chain run through the off/mild/moderate/severe fault-injection ladder,
@@ -83,9 +83,9 @@ func main() {
 		artifactDir  = flag.String("artifact-dir", "", "checkpoint -all artifacts into this durable store")
 		resume       = flag.Bool("resume", false, "restore already-checkpointed artifacts from -artifact-dir")
 		shardWorkers = flag.String("shard-workers", "", "comma-separated lscatter-worker base URLs for -all")
-		impaired = flag.Bool("impair", false, "run the link-resilience sweep (shorthand for -id R1)")
-		rtf      = flag.Bool("rtf", false, "measure the transport real-time factor at 20 MHz")
-		rtfSF    = flag.Int("rtf-subframes", 0, "timed subframes for -rtf (0 = default 2000)")
+		impaired     = flag.Bool("impair", false, "run the link-resilience sweep (shorthand for -id R1)")
+		rtf          = flag.Bool("rtf", false, "measure the transport real-time factor at 20 MHz")
+		rtfSF        = flag.Int("rtf-subframes", 0, "timed subframes for -rtf (0 = default 2000)")
 
 		fleetRun     = flag.Bool("fleet", false, "run the event-driven fleet engine standalone")
 		fleetTags    = flag.Int("fleet-tags", 1_000_000, "fleet size for -fleet")

@@ -16,7 +16,7 @@
 //   - examples/ — runnable demonstrations
 //   - docs/ — ARCHITECTURE.md (signal path, cache, pool), BENCHMARKS.md
 //     (how to measure, recorded baselines) and PERFORMANCE.md (real-time
-//     factor, fixed-point error budget, lane selection)
+//     factor, the streamer's fixed-point error budget)
 //
 // Regeneration is deterministic: per-artifact seeds derive from the master
 // seed, so `lscatter-bench -all` prints byte-identical tables at any

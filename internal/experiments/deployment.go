@@ -8,7 +8,6 @@ import (
 	"lscatter/internal/channel"
 	"lscatter/internal/core"
 	"lscatter/internal/ltephy"
-	"lscatter/internal/simlink"
 	"lscatter/internal/stats"
 	"lscatter/internal/traffic"
 )
@@ -46,9 +45,6 @@ type DeploymentConfig struct {
 	// Mode selects core.SemiAnalytic (closed-form, cheap enough for large
 	// fleets) or core.Exact (bit-true waveform chain per tag).
 	Mode core.Mode
-	// Lane selects the exact chain's sample representation (see simlink.Lane);
-	// ignored in semi-analytic mode.
-	Lane simlink.Lane
 	// Subframes is the exact-mode simulated length per tag in ms.
 	Subframes int
 	// Impair optionally names a rung of the resilience ladder
@@ -256,7 +252,6 @@ func (c *DeploymentConfig) runTag(i int, occupancy float64) TagReport {
 	}
 	link.BW = c.BW
 	link.Mode = c.Mode
-	link.Lane = c.Lane
 	link.TxPowerDBm = c.TxPowerDBm
 	link.TagLossDB = c.TagLossDB
 	if c.Subframes > 0 {

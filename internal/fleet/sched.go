@@ -71,9 +71,9 @@ func (h *eventHeap) pop() uint64 {
 	return top
 }
 
-// sched is the per-tag state machine core shared by the exact-mode Bank and
-// the semi-analytic engine: message queues, backoff windows, and the event
-// queue that decides which tags contend in which slot.
+// sched is the per-tag state machine core of the engine: message queues,
+// backoff windows, and the event queue that decides which tags contend in
+// which slot.
 type sched struct {
 	cfg  Config
 	n    int32
@@ -101,7 +101,7 @@ type sched struct {
 	// contenders is the scratch list of tags eligible in the current slot.
 	contenders []int32
 
-	// Counters surfaced by both engines.
+	// Counters surfaced in the Report.
 	events  int64 // heap events processed
 	dropped int64 // arrivals rejected by a full queue
 }

@@ -1,7 +1,7 @@
-// Package fxp is the fixed-point IQ lane: Q1.15 complex samples in
-// structure-of-arrays buffers, the scalar saturating arithmetic they need,
-// and the packed-word (SWAR) kernels that let the hot transport loops
-// process four samples per integer operation on a plain 64-bit core.
+// Package fxp is the Q1.15 substrate of the simlink Streamer: complex
+// samples in structure-of-arrays buffers and the packed-word (SWAR) kernels
+// that let the transport loop process four samples per integer operation on
+// a plain 64-bit core.
 //
 // Representation. A Buf holds one waveform segment as two int16 slices —
 // all I mantissas, then all Q mantissas — plus a single block scale:
@@ -12,24 +12,11 @@
 // power-of-two Scale that puts the block's largest component magnitude in
 // the upper half of the mantissa range, then round each component to the
 // nearest representable value, so the per-component quantization error is
-// bounded by Scale/65536 (half a least-significant step). The block scale
-// makes pure amplitude gains free: scaling a Buf multiplies Scale and
-// touches no samples.
+// bounded by Scale/65536 (half a least-significant step).
 //
-// Arithmetic. SatAdd and MulQ15 are the conventional Q1.15 primitives:
-// addition saturates at the int16 rails, multiplication is a 32-bit product
-// arithmetically shifted down 15 with round-to-nearest-even and saturation
-// (so MulQ15(-32768, -32768) = 32767, not the wrapped -32768). Buffer-level
-// operations (AccumulateSat, Rotate, the channel and impairment stages that
-// build on them) align block scales by Q15-scaling the smaller-scale
-// operand and reserve explicit headroom bits where sums can grow, so
-// saturation is an engineered corner case, not a silent steady state; the
-// resulting error budget is derived in docs/PERFORMANCE.md.
-//
-// The float lane (complex128 throughout) remains this repository's
-// conformance reference: every fxp consumer keeps its float path, and the
-// dual-lane differential tests pin the fixed-point results within the
-// documented budget of it.
+// The Streamer packs its precomputed composites with PackBiased, draws its
+// noise ring from NewNoiseTable and runs StreamSelectAdd as its hot loop;
+// docs/PERFORMANCE.md derives the error budget.
 package fxp
 
 import (
@@ -37,54 +24,12 @@ import (
 	"math"
 )
 
-// FracBits is the Q1.15 fraction width: mantissa full scale is 1<<FracBits.
-const FracBits = 15
-
 // One is the mantissa value representing 1.0 before saturation (1<<15).
 // The largest representable mantissa is One-1.
-const One = 1 << FracBits
+const One = 1 << 15
 
-// MaxMant and MinMant are the int16 mantissa rails.
-const (
-	MaxMant = math.MaxInt16
-	MinMant = math.MinInt16
-)
-
-// Sat32 clamps a 32-bit value to the int16 rails.
-func Sat32(v int32) int16 {
-	if v > MaxMant {
-		return MaxMant
-	}
-	if v < MinMant {
-		return MinMant
-	}
-	return int16(v)
-}
-
-// SatAdd returns a+b with saturation at the int16 rails.
-func SatAdd(a, b int16) int16 { return Sat32(int32(a) + int32(b)) }
-
-// SatSub returns a-b with saturation at the int16 rails.
-func SatSub(a, b int16) int16 { return Sat32(int32(a) - int32(b)) }
-
-// MulQ15 multiplies two Q1.15 values: the 32-bit product shifted down
-// FracBits with round-to-nearest-even, saturated at the rails. The lone
-// overflow case is (-32768)·(-32768), which saturates to 32767.
-func MulQ15(a, b int16) int16 {
-	p := int32(a) * int32(b)
-	return Sat32(rne15(p))
-}
-
-// rne15 arithmetically shifts a 32-bit product down 15 bits with
-// round-to-nearest, ties to even.
-func rne15(p int32) int32 {
-	r := p >> FracBits
-	rem := p - r<<FracBits // in [0, 32768)
-	if rem > One/2 || (rem == One/2 && r&1 != 0) {
-		r++
-	}
-	return r
-}
+// MaxMant is the positive int16 mantissa rail.
+const MaxMant = math.MaxInt16
 
 // QuantQ15 rounds x (in [-1, 1]) to the nearest Q1.15 mantissa, clamped to
 // ±MaxMant. The clamp is symmetric — QuantQ15 never returns -32768 — so a
@@ -151,29 +96,17 @@ type Buf struct {
 	words []uint64 // backing store: I words, then Q words
 }
 
-// New allocates a Buf of n samples with Scale 1.
+// New allocates a zeroed Buf of n samples with Scale 1.
 func New(n int) *Buf {
-	b := &Buf{Scale: 1}
-	b.Resize(n)
+	w := (n + lanes - 1) / lanes // words per component
+	b := &Buf{Scale: 1, words: make([]uint64, 2*w)}
+	b.I = wordsToInt16(b.words[:w])[:n]
+	b.Q = wordsToInt16(b.words[w:])[:n]
 	return b
 }
 
 // Len returns the sample count.
 func (b *Buf) Len() int { return len(b.I) }
-
-// Resize re-dimensions the buffer to n samples, reallocating only when the
-// backing store is too small. Newly exposed samples are zeroed.
-func (b *Buf) Resize(n int) {
-	w := (n + lanes - 1) / lanes // words per component
-	if cap(b.words) < 2*w {
-		b.words = make([]uint64, 2*w)
-	}
-	b.words = b.words[:2*w]
-	iw := wordsToInt16(b.words[:w])
-	qw := wordsToInt16(b.words[w:])
-	b.I = iw[:n]
-	b.Q = qw[:n]
-}
 
 // IWords and QWords expose the component mantissas as packed 4-lane words
 // (little-endian lane order: lane l of word w is sample 4w+l). The final
@@ -184,19 +117,11 @@ func (b *Buf) IWords() []uint64 { return b.words[:len(b.words)/2] }
 // QWords is the Q-component counterpart of IWords.
 func (b *Buf) QWords() []uint64 { return b.words[len(b.words)/2:] }
 
-// FromComplex converts x into a fresh Buf with an automatic power-of-two
-// block scale.
-func FromComplex(x []complex128) *Buf {
-	b := New(len(x))
-	b.SetComplex(x)
-	return b
-}
-
-// SetComplex fills b from x, picking the block scale automatically: the
+// FromComplex converts x into a fresh Buf with an automatic block scale: the
 // smallest power of two bounding the largest component magnitude (so
 // mantissa utilization is at least half scale and quantization error at most
 // Scale/65536 per component). An all-zero block gets Scale 1.
-func (b *Buf) SetComplex(x []complex128) {
+func FromComplex(x []complex128) *Buf {
 	maxAbs := 0.0
 	for _, v := range x {
 		if a := math.Abs(real(v)); a > maxAbs {
@@ -210,16 +135,20 @@ func (b *Buf) SetComplex(x []complex128) {
 	if maxAbs > 0 {
 		scale = pow2Ceil(maxAbs)
 	}
+	b := New(len(x))
 	b.SetComplexAt(x, scale)
+	return b
 }
 
 // SetComplexAt fills b from x at a caller-chosen scale. Components beyond
-// ±scale saturate at the symmetric rails.
+// ±scale saturate at the symmetric rails. b must hold len(x) samples.
 func (b *Buf) SetComplexAt(x []complex128, scale float64) {
 	if !(scale > 0) || math.IsInf(scale, 0) || math.IsNaN(scale) || math.IsInf(1/scale, 0) {
 		panic(fmt.Sprintf("fxp: block scale %v must be positive, finite and invertible", scale))
 	}
-	b.Resize(len(x))
+	if len(x) != b.Len() {
+		panic(fmt.Sprintf("fxp: SetComplexAt of %d samples into a %d-sample Buf", len(x), b.Len()))
+	}
 	b.Scale = scale
 	inv := 1 / scale
 	for i, v := range x {
@@ -246,133 +175,4 @@ func (b *Buf) ToComplex(dst []complex128) []complex128 {
 func (b *Buf) At(i int) complex128 {
 	k := b.Scale / One
 	return complex(float64(b.I[i])*k, float64(b.Q[i])*k)
-}
-
-// CopyFrom makes b a copy of src (sharing no storage).
-func (b *Buf) CopyFrom(src *Buf) {
-	b.Resize(src.Len())
-	copy(b.I, src.I)
-	copy(b.Q, src.Q)
-	b.Scale = src.Scale
-}
-
-// ScaleBy applies a pure positive amplitude gain: Scale is multiplied, no
-// sample is touched. This is the block-scale representation's free lunch —
-// fixed gains and path losses cost O(1).
-func (b *Buf) ScaleBy(g float64) {
-	if !(g > 0) || math.IsInf(g, 0) || math.IsNaN(g) {
-		panic(fmt.Sprintf("fxp: ScaleBy(%v) needs a positive finite gain", g))
-	}
-	b.Scale *= g
-}
-
-// Rotate multiplies every sample by the complex gain c: the magnitude folds
-// into the block scale (free), the residual unit phasor is applied as a
-// Q1.15 complex rotation per sample. c must be nonzero and finite.
-func (b *Buf) Rotate(c complex128) {
-	mag := math.Hypot(real(c), imag(c))
-	if !(mag > 0) || math.IsInf(mag, 0) || math.IsNaN(mag) {
-		panic(fmt.Sprintf("fxp: Rotate(%v) needs a nonzero finite gain", c))
-	}
-	b.Scale *= mag
-	cr, ci := real(c)/mag, imag(c)/mag
-	if ci == 0 && cr > 0 {
-		return // pure positive real gain: fully absorbed by Scale
-	}
-	qr, qi := QuantQ15(cr), QuantQ15(ci)
-	for k := range b.I {
-		i, q := int32(b.I[k]), int32(b.Q[k])
-		b.I[k] = Sat32(rne15(i*int32(qr) - q*int32(qi)))
-		b.Q[k] = Sat32(rne15(i*int32(qi) + q*int32(qr)))
-	}
-}
-
-// RotateSample rotates one IQ pair by the Q1.15 phasor (cr, ci) with
-// round-to-nearest-even and saturation: the scalar core of Buf.Rotate,
-// exported for stages that apply a per-sample-varying phasor (the SSB
-// switch waveform, the fxp demod front end).
-func RotateSample(i, q, cr, ci int16) (int16, int16) {
-	return Sat32(rne15(int32(i)*int32(cr) - int32(q)*int32(ci))),
-		Sat32(rne15(int32(i)*int32(ci) + int32(q)*int32(cr)))
-}
-
-// ScaledView returns a shallow view of b sharing its sample storage with
-// the block scale multiplied by g (positive finite). The view must be
-// treated as read-only — writes through either alias corrupt the other.
-// It is the zero-cost form of a pure gain on a buffer the caller may not
-// mutate (e.g. a parked tag's echo of the shared ambient block).
-func (b *Buf) ScaledView(g float64) *Buf {
-	if !(g > 0) || math.IsInf(g, 0) || math.IsNaN(g) {
-		panic(fmt.Sprintf("fxp: ScaledView(%v) needs a positive finite gain", g))
-	}
-	nb := *b
-	nb.Scale = b.Scale * g
-	return &nb
-}
-
-// MulQ15Gain scales every mantissa by the Q1.15 factor m (round-to-nearest-
-// even). The block scale is untouched: this is the alignment primitive for
-// cross-scale sums.
-func (b *Buf) MulQ15Gain(m int16) {
-	for k := range b.I {
-		b.I[k] = MulQ15(b.I[k], m)
-		b.Q[k] = MulQ15(b.Q[k], m)
-	}
-}
-
-// alignTo requantizes b in place to the target scale >= b.Scale.
-func (b *Buf) alignTo(scale float64) {
-	if scale == b.Scale {
-		return
-	}
-	if scale < b.Scale {
-		panic("fxp: alignTo can only coarsen a block scale")
-	}
-	ratio := b.Scale / scale
-	b.MulQ15Gain(QuantQ15(ratio))
-	b.Scale = scale
-}
-
-// AccumulateSat adds src into dst sample-wise with saturation. Block scales
-// are aligned first: dst is coarsened to src's scale when needed (never the
-// reverse — src is read-only). Lengths must match.
-func AccumulateSat(dst, src *Buf) {
-	if dst.Len() != src.Len() {
-		panic(fmt.Sprintf("fxp: AccumulateSat length mismatch %d != %d", dst.Len(), src.Len()))
-	}
-	if src.Scale > dst.Scale {
-		dst.alignTo(src.Scale)
-	}
-	if src.Scale == dst.Scale {
-		addSatWords(dst.IWords(), src.IWords())
-		addSatWords(dst.QWords(), src.QWords())
-		return
-	}
-	// src is finer: fold the ratio into each added mantissa.
-	m := int32(QuantQ15(src.Scale / dst.Scale))
-	for k := range dst.I {
-		dst.I[k] = Sat32(int32(dst.I[k]) + rne15(int32(src.I[k])*m))
-		dst.Q[k] = Sat32(int32(dst.Q[k]) + rne15(int32(src.Q[k])*m))
-	}
-}
-
-// MaxAbsMant returns the largest absolute mantissa across both components
-// (the block's headroom indicator).
-func (b *Buf) MaxAbsMant() int {
-	m := 0
-	for _, v := range b.I {
-		if a := int(v); a > m {
-			m = a
-		} else if -a > m {
-			m = -a
-		}
-	}
-	for _, v := range b.Q {
-		if a := int(v); a > m {
-			m = a
-		} else if -a > m {
-			m = -a
-		}
-	}
-	return m
 }

@@ -2,71 +2,10 @@ package fxp
 
 import (
 	"math"
-	"math/cmplx"
 	"testing"
 
 	"lscatter/internal/rng"
 )
-
-// TestSaturationAtFullScale pins the rail behavior of the scalar primitives
-// at ±full scale.
-func TestSaturationAtFullScale(t *testing.T) {
-	cases := []struct {
-		a, b, want int16
-	}{
-		{MaxMant, 1, MaxMant},
-		{MaxMant, MaxMant, MaxMant},
-		{MinMant, -1, MinMant},
-		{MinMant, MinMant, MinMant},
-		{20000, 20000, MaxMant},
-		{-20000, -20000, MinMant},
-		{MaxMant, MinMant, -1},
-		{0, 0, 0},
-	}
-	for _, c := range cases {
-		if got := SatAdd(c.a, c.b); got != c.want {
-			t.Errorf("SatAdd(%d, %d) = %d, want %d", c.a, c.b, got, c.want)
-		}
-	}
-	if got := SatSub(MinMant, 1); got != MinMant {
-		t.Errorf("SatSub(%d, 1) = %d, want %d", MinMant, got, MinMant)
-	}
-	if got := SatSub(MaxMant, -1); got != MaxMant {
-		t.Errorf("SatSub(%d, -1) = %d, want %d", MaxMant, got, MaxMant)
-	}
-	// The one overflowing Q15 product: (-1.0)·(-1.0) saturates to +0.99997.
-	if got := MulQ15(MinMant, MinMant); got != MaxMant {
-		t.Errorf("MulQ15(-32768, -32768) = %d, want %d", got, MaxMant)
-	}
-}
-
-// TestMulQ15RoundToNearestEven pins the tie-breaking of the Q1.15 multiply:
-// a remainder of exactly half a step rounds to the even neighbor.
-func TestMulQ15RoundToNearestEven(t *testing.T) {
-	half := int16(One / 2) // 16384: a·half leaves remainder a/2 steps
-	cases := []struct {
-		a, want int16
-	}{
-		{1, 0},  // 0.5 -> 0 (even)
-		{2, 1},  // 1.0 exact
-		{3, 2},  // 1.5 -> 2 (even)
-		{4, 2},  // 2.0 exact
-		{5, 2},  // 2.5 -> 2 (even)
-		{7, 4},  // 3.5 -> 4 (even)
-		{-1, 0}, // -0.5 -> 0 (even)
-		{-3, -2},
-		{-5, -2},
-	}
-	for _, c := range cases {
-		if got := MulQ15(c.a, half); got != c.want {
-			t.Errorf("MulQ15(%d, %d) = %d, want %d", c.a, half, got, c.want)
-		}
-	}
-	// Non-tie remainders round to nearest as usual.
-	if got := MulQ15(100, 20000); got != 61 { // 100*20000/32768 = 61.035...
-		t.Errorf("MulQ15(100, 20000) = %d, want 61", got)
-	}
-}
 
 // TestQuantQ15 pins the conversion quantizer: symmetric clamp and
 // round-to-nearest-even.
@@ -82,8 +21,8 @@ func TestQuantQ15(t *testing.T) {
 		{-1.0, -MaxMant}, // symmetric clamp: negation-safe
 		{2.0, MaxMant},
 		{-2.0, -MaxMant},
-		{1.5 / One, 2},  // tie -> even
-		{2.5 / One, 2},  // tie -> even
+		{1.5 / One, 2}, // tie -> even
+		{2.5 / One, 2}, // tie -> even
 		{-1.5 / One, -2},
 	}
 	for _, c := range cases {
@@ -138,106 +77,6 @@ func TestBlockScaleRoundTrip(t *testing.T) {
 				t.Fatalf("re-quantization not idempotent at %d: (%d,%d) -> (%d,%d)",
 					i, b.I[i], b.Q[i], b2.I[i], b2.Q[i])
 			}
-		}
-	}
-}
-
-// TestScaleByAndRotate checks the O(1) gain path and the Q15 rotation
-// against float arithmetic.
-func TestScaleByAndRotate(t *testing.T) {
-	r := rng.New(7)
-	x := make([]complex128, 257)
-	for i := range x {
-		x[i] = r.Complex(0.3)
-	}
-	b := FromComplex(x)
-	iBefore := append([]int16(nil), b.I...)
-	b.ScaleBy(1e-3)
-	for i := range b.I {
-		if b.I[i] != iBefore[i] {
-			t.Fatal("ScaleBy touched a mantissa")
-		}
-	}
-	for i := range x {
-		x[i] *= 1e-3
-	}
-	if err := roundTripErr(x, b); err > b.Scale/65536*(1+1e-12) {
-		t.Errorf("ScaleBy error %g beyond bound", err)
-	}
-
-	// Rotation by a complex gain: magnitude into the scale, phase per
-	// sample. The Q15 phasor and per-sample rounding each cost at most one
-	// step, so allow a few steps of slack.
-	g := 2.5 * cmplx.Exp(complex(0, 1.1))
-	b.Rotate(g)
-	for i := range x {
-		x[i] *= g
-	}
-	if err := roundTripErr(x, b); err > 4*b.Scale/32768 {
-		t.Errorf("Rotate error %g beyond 4 steps (%g)", err, 4*b.Scale/32768)
-	}
-}
-
-// TestAccumulateSat checks cross-scale accumulation and saturation against
-// a float reference.
-func TestAccumulateSat(t *testing.T) {
-	r := rng.New(11)
-	n := 123
-	xa := make([]complex128, n)
-	xb := make([]complex128, n)
-	for i := range xa {
-		xa[i] = r.Complex(0.2)
-		xb[i] = r.Complex(0.002) // two decades down: exercises alignment
-	}
-	a, bb := FromComplex(xa), FromComplex(xb)
-	AccumulateSat(a, bb)
-	for i := range xa {
-		want := xa[i] + xb[i]
-		got := a.At(i)
-		if e := cmplx.Abs(got - want); e > 3*a.Scale/32768 {
-			t.Fatalf("AccumulateSat sample %d: |%v - %v| = %g beyond 3 steps", i, got, want, e)
-		}
-	}
-
-	// Same-scale saturating path: rails must clip, not wrap.
-	s1, s2 := New(8), New(8)
-	for i := 0; i < 8; i++ {
-		s1.I[i], s1.Q[i] = 30000, -30000
-		s2.I[i], s2.Q[i] = 30000, -30000
-	}
-	AccumulateSat(s1, s2)
-	for i := 0; i < 8; i++ {
-		if s1.I[i] != MaxMant || s1.Q[i] != MinMant {
-			t.Fatalf("saturating add sample %d: got (%d,%d)", i, s1.I[i], s1.Q[i])
-		}
-	}
-}
-
-// TestAddSatWordsMatchesScalar drives the SWAR adder against the scalar
-// primitive over random lanes, including rail-adjacent values.
-func TestAddSatWordsMatchesScalar(t *testing.T) {
-	r := rng.New(13)
-	n := 4096
-	a, b := New(n), New(n)
-	want := make([]int16, n)
-	for i := 0; i < n; i++ {
-		av := int16(r.Uint64())
-		bv := int16(r.Uint64())
-		switch i % 7 { // sprinkle rail-adjacent operands
-		case 0:
-			av = MaxMant
-		case 3:
-			av = MinMant
-		case 5:
-			bv = MinMant
-		}
-		a.I[i], b.I[i] = av, bv
-		want[i] = SatAdd(av, bv)
-	}
-	addSatWords(a.IWords(), b.IWords())
-	for i := 0; i < n; i++ {
-		if a.I[i] != want[i] {
-			t.Fatalf("lane %d: SWAR %d != scalar %d", i, a.I[i], want[i])
 		}
 	}
 }

@@ -27,30 +27,6 @@ func wordsToInt16(w []uint64) []int16 {
 	return unsafe.Slice((*int16)(unsafe.Pointer(&w[0])), len(w)*lanes)
 }
 
-// addSatWords adds src into dst lane-wise with per-lane saturation: the
-// carry between lanes is suppressed by masking the sign bits out of the
-// adder, and overflowing lanes are replaced branchlessly-per-word with the
-// rail matching dst's lane sign.
-func addSatWords(dst, src []uint64) {
-	if len(dst) != len(src) {
-		panic("fxp: addSatWords length mismatch")
-	}
-	for k := range dst {
-		a, b := dst[k], src[k]
-		sum := ((a &^ signMask) + (b &^ signMask)) ^ ((a ^ b) & signMask)
-		// A lane overflowed iff both operands share a sign that the sum
-		// does not.
-		if ovf := (^(a ^ b) & (a ^ sum)) & signMask; ovf != 0 {
-			// Per overflowing lane: 0x7FFF when a was positive, 0x8000 when
-			// negative. All shifts stay inside their 16-bit lane.
-			sat := (ovf - ovf>>15) + (a&ovf)>>15
-			m := (ovf >> 15) * 0xFFFF
-			sum = (sum &^ m) | (sat & m)
-		}
-		dst[k] = sum
-	}
-}
-
 // PackBiased packs mantissas into 4-lane words in the offset-binary form the
 // streamer's carry-free adder needs: stored lane = mant + 32768 - noiseMax,
 // a non-negative value with noiseMax steps of headroom reserved below the
@@ -82,14 +58,6 @@ func PackBiased(dst []uint64, mant []int16, noiseMax int) {
 			word |= uint64(uint16(m+bias)) << (16 * l)
 		}
 		dst[w] = word
-	}
-}
-
-// UnbiasWords converts offset-binary lanes (value + 32768) back to two's
-// complement mantissas in place: one XOR of the sign mask per word.
-func UnbiasWords(w []uint64) {
-	for k := range w {
-		w[k] ^= signMask
 	}
 }
 
@@ -141,8 +109,8 @@ func NewNoiseTable(r *rng.Source, words int, sigmaMant float64, clampMant int) [
 // unit's packed phase bit, adds the next ring lanes of noise, and stores the
 // result. All inputs are in the PackBiased offset-binary form with a shared
 // headroom contract, so the noise add is a plain uint64 add with no carry
-// between lanes. The unbias back to two's complement (the UnbiasWords XOR)
-// is fused into the store — out comes back holding plain Q1.15 mantissas,
+// between lanes. The unbias back to two's complement (an XOR of every
+// lane's sign bit) is fused into the store — out comes back holding plain Q1.15 mantissas,
 // saving a second full pass over the subframe. phase holds one bit per unit,
 // bit u of word u/64; noise must be a power-of-two-length ring from
 // NewNoiseTable. np is the running ring position; the advanced position is

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"lscatter/internal/dsp"
-	"lscatter/internal/fxp"
 	"lscatter/internal/rng"
 )
 
@@ -14,12 +13,11 @@ import (
 // (samples arrive late), reading back into a history buffer; negative shifts
 // advance it, holding the final sample at the block tail.
 type jitterStage struct {
-	cfg     JitterConfig
-	seed    uint64
-	r       *rng.Source
-	max     int          // clamp, in samples
-	hist    []complex128 // last max samples of the previous block
-	histFxp *fxp.Buf     // fixed-point-lane history (see fxp.go)
+	cfg  JitterConfig
+	seed uint64
+	r    *rng.Source
+	max  int          // clamp, in samples
+	hist []complex128 // last max samples of the previous block
 }
 
 func newJitterStage(cfg JitterConfig, seed uint64) *jitterStage {
@@ -37,7 +35,6 @@ func (s *jitterStage) Reset() {
 	s.r = newStageRNG(s.seed)
 	s.max = int(math.Ceil(4 * s.cfg.RMSSamples))
 	s.hist = make([]complex128, s.max)
-	s.histFxp = nil
 }
 
 func (s *jitterStage) Process(x []complex128) []complex128 {

@@ -266,6 +266,9 @@ func TestE2EErrorPaths(t *testing.T) {
 	if resp := post(`{"venu":"home"}`); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown field: %d, want 400", resp.StatusCode)
 	}
+	if resp := post(`{"mode":"exact","bandwidth":"1.4MHz","lane":"fxp"}`); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("retired fxp lane: %d, want 400", resp.StatusCode)
+	}
 
 	if resp, _ := http.Get(ts.URL + "/v1/runs/run-999999"); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown run: %d, want 404", resp.StatusCode)

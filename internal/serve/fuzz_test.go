@@ -21,6 +21,7 @@ func FuzzSpecDecode(f *testing.F) {
 		`{"venue":"mall","tags":6,"seed":12345}`,
 		`{"venue":"outdoor","bandwidth":"20MHz","tags":100,"traffic":"wifi","hour":18.5}`,
 		`{"mode":"exact","bandwidth":"1.4MHz","tags":2,"subframes":2,"impairment":"mild","lane":"fxp"}`,
+		`{"mode":"exact","bandwidth":"1.4MHz","tags":2,"subframes":2,"impairment":"mild","lane":"float"}`,
 		`{"tx_power_dbm":0,"tag_loss_db":0,"hour":0,"seed":0}`,
 		`{"min_tag_to_ue_ft":3,"max_tag_to_ue_ft":120}`,
 		`{"tags":-1}`,

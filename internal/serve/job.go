@@ -243,8 +243,8 @@ type Options struct {
 // it.
 type Manager struct {
 	opts  Options
-	store *Store
-	disk  *DiskStore // nil when no ArtifactDir is configured
+	store *store.Memory
+	disk  *store.DiskStore // nil when no ArtifactDir is configured
 	// executor is the shared compute-and-persist stack (internal/exec): a
 	// Local executor bottoming out in RunDeployment, wrapped — when a
 	// durable store is configured — in a Checkpointed executor that records
@@ -281,13 +281,13 @@ func NewManager(opts Options) (*Manager, error) {
 	}
 	m := &Manager{
 		opts:     opts,
-		store:    NewStore(opts.StoreEntries),
+		store:    store.NewMemory(opts.StoreEntries),
 		jobs:     make(map[string]*Job),
 		inflight: make(map[Key]*flight),
 		queue:    make(chan *flight, opts.QueueDepth),
 	}
 	if opts.ArtifactDir != "" {
-		disk, err := OpenDiskStore(opts.ArtifactDir, opts.DiskMaxBytes, opts.Logf)
+		disk, err := store.Open(opts.ArtifactDir, opts.DiskMaxBytes, opts.Logf)
 		if err != nil {
 			return nil, err
 		}
@@ -317,10 +317,10 @@ func NewManager(opts Options) (*Manager, error) {
 }
 
 // Store exposes the in-memory artifact store (read-only use: stats, tests).
-func (m *Manager) Store() *Store { return m.store }
+func (m *Manager) Store() *store.Memory { return m.store }
 
 // Disk exposes the durable artifact store, nil when not configured.
-func (m *Manager) Disk() *DiskStore { return m.disk }
+func (m *Manager) Disk() *store.DiskStore { return m.disk }
 
 // Counters snapshots the manager counters.
 func (m *Manager) Counters() Counters {
@@ -642,6 +642,14 @@ func (m *Manager) countCancel() {
 	m.counters.Canceled++
 	m.mu.Unlock()
 }
+
+// Key addresses one artifact: the content hash of the normalized spec plus
+// the seed. Identical keys denote identical computations — the deployment
+// runner is deterministic in (spec, seed) — so a stored body can be served
+// for any later request with the same key without recompute, byte for byte.
+// It is the shared store's key, so the server, the checkpointed sweeps and
+// the worker shards address one artifact directory the same way.
+type Key = store.Key
 
 // ResultDoc is the served result body: the content address, the normalized
 // spec it answers, and the aggregated deployment result. Struct field order

@@ -12,7 +12,6 @@ import (
 	"lscatter/internal/core"
 	"lscatter/internal/experiments"
 	"lscatter/internal/ltephy"
-	"lscatter/internal/simlink"
 	"lscatter/internal/traffic"
 )
 
@@ -47,7 +46,10 @@ type Spec struct {
 	// Mode is "semi-analytic" (default) or "exact" (bit-true chain per tag,
 	// capped — see Validate).
 	Mode string `json:"mode"`
-	// Lane is "float" (default) or "fxp" (Q1.15 hot path); exact mode only.
+	// Lane names the sample representation; "float" (the default) is the
+	// only one served. It stays decodable, and canonical as "float", so the
+	// hash of every float spec keeps its artifact address. "fxp" is
+	// rejected.
 	Lane string `json:"lane"`
 	// Subframes is the exact-mode simulated length per tag in ms
 	// (default 5, cap MaxSubframes).
@@ -172,11 +174,12 @@ func (s *Spec) Normalize() (*Spec, error) {
 		return nil, fmt.Errorf("spec: unknown mode %q (want semi-analytic or exact)", n.Mode)
 	}
 	switch n.Lane {
-	case "":
+	case "", "float":
 		n.Lane = "float"
-	case "float", "fxp":
+	case "fxp":
+		return nil, errors.New(`spec: lane "fxp" is no longer served (want float)`)
 	default:
-		return nil, fmt.Errorf("spec: unknown lane %q (want float or fxp)", n.Lane)
+		return nil, fmt.Errorf("spec: unknown lane %q (want float)", n.Lane)
 	}
 	if n.Impairment == "" {
 		n.Impairment = "off"
@@ -239,9 +242,6 @@ func (s *Spec) Normalize() (*Spec, error) {
 		if n.Subframes != 0 {
 			return nil, errors.New("spec: subframes only applies to exact mode")
 		}
-		if n.Lane != "float" {
-			return nil, errors.New("spec: lane only applies to exact mode")
-		}
 		if n.Impairment != "off" {
 			return nil, errors.New("spec: the impairment ladder only applies to exact mode")
 		}
@@ -291,10 +291,6 @@ func (s *Spec) Deployment() experiments.DeploymentConfig {
 	if s.Mode == "exact" {
 		mode = core.Exact
 	}
-	lane := simlink.LaneFloat
-	if s.Lane == "fxp" {
-		lane = simlink.LaneFixedPoint
-	}
 	impairment := s.Impairment
 	if impairment == "off" {
 		impairment = ""
@@ -308,7 +304,6 @@ func (s *Spec) Deployment() experiments.DeploymentConfig {
 		Traffic:      techs[s.Traffic],
 		Hour:         *s.Hour,
 		Mode:         mode,
-		Lane:         lane,
 		Subframes:    s.Subframes,
 		Impair:       impairment,
 		TxPowerDBm:   *s.TxPowerDBm,

@@ -6,7 +6,6 @@ import (
 
 	"lscatter/internal/core"
 	"lscatter/internal/ltephy"
-	"lscatter/internal/simlink"
 	"lscatter/internal/traffic"
 )
 
@@ -116,14 +115,13 @@ func TestSpecDefaulting(t *testing.T) {
 		},
 		{
 			"enums case-insensitive",
-			`{"venue":"Mall","mode":"EXACT","bandwidth":"1.4MHz","lane":"FXP"}`,
+			`{"venue":"Mall","mode":"EXACT","bandwidth":"1.4MHz","lane":"FLOAT"}`,
 			func(t *testing.T, n *Spec) {
-				if n.Venue != "mall" || n.Mode != "exact" || n.Lane != "fxp" {
+				if n.Venue != "mall" || n.Mode != "exact" || n.Lane != "float" {
 					t.Fatalf("case folding failed: %+v", n)
 				}
 				d := n.Deployment()
-				if d.Venue != traffic.Mall || d.Mode != core.Exact ||
-					d.Lane != simlink.LaneFixedPoint || d.BW != ltephy.BW1_4 {
+				if d.Venue != traffic.Mall || d.Mode != core.Exact || d.BW != ltephy.BW1_4 {
 					t.Fatalf("deployment mapping: %+v", d)
 				}
 			},
@@ -170,7 +168,7 @@ func TestSpecValidationRejects(t *testing.T) {
 		{"hour out of range", `{"hour":24}`, "hour"},
 		{"negative subframes", `{"subframes":-1}`, "subframes"},
 		{"subframes outside exact", `{"subframes":5}`, "exact mode"},
-		{"lane outside exact", `{"lane":"fxp"}`, "exact mode"},
+		{"fxp lane no longer served", `{"mode":"exact","bandwidth":"1.4MHz","lane":"FXP"}`, `lane "fxp" is no longer served (want float)`},
 		{"impairment outside exact", `{"impairment":"mild"}`, "exact mode"},
 	}
 	for _, tc := range cases {
@@ -230,5 +228,29 @@ func TestNormalizeIdempotent(t *testing.T) {
 	}
 	if string(n.Canonical()) != string(again.Canonical()) {
 		t.Fatalf("normalize not idempotent:\n%s\nvs\n%s", n.Canonical(), again.Canonical())
+	}
+}
+
+// TestSpecHashStable pins the content address of float specs to hashes
+// recorded before the fixed-point lane was retired: the canonical form keeps
+// "lane":"float", so existing artifact directories still hit.
+func TestSpecHashStable(t *testing.T) {
+	cases := []struct {
+		body, want string
+	}{
+		{`{}`, "f71cccaec663f15e"},
+		{`{"lane":"float"}`, "f71cccaec663f15e"},
+		{`{"venue":"home","mode":"exact","bandwidth":"5MHz","subframes":5,"tags":2,"seed":7}`, "1897a7fbfb35be81"},
+		{`{"venue":"home","mode":"exact","bandwidth":"5MHz","subframes":5,"tags":2,"seed":7,"lane":"FLOAT"}`, "1897a7fbfb35be81"},
+		{`{"venue":"mall","mode":"exact","bandwidth":"1.4MHz","tags":2,"impairment":"mild","seed":3}`, "85403c968e361b35"},
+	}
+	for _, tc := range cases {
+		n, err := decodeValid(t, tc.body).Normalize()
+		if err != nil {
+			t.Fatalf("normalize %s: %v", tc.body, err)
+		}
+		if got := n.Hash(); got != tc.want {
+			t.Errorf("hash(%s) = %s, want %s", tc.body, got, tc.want)
+		}
 	}
 }

@@ -3,7 +3,6 @@ package simlink
 import (
 	"lscatter/internal/channel"
 	"lscatter/internal/enodeb"
-	"lscatter/internal/fxp"
 	"lscatter/internal/impair"
 	"lscatter/internal/tag"
 	"lscatter/internal/ue"
@@ -66,13 +65,7 @@ type Frame struct {
 	// RX is the waveform at the receiver: all paths combined, noise and
 	// impairments applied, carrier tracking (if any) removed. With no
 	// channel.Link configured it aliases the ambient samples directly.
-	// Always populated, in both lanes.
 	RX []complex128
-	// RXFxp is the receiver waveform in Q1.15 form, populated only by
-	// fixed-point-lane sessions (and cleared when the carrier tracker — a
-	// float stage — rewrites RX). Sinks that know the fixed-point front end
-	// (DemodSink) consume it; everything else reads RX.
-	RXFxp *fxp.Buf
 	// Start is the absolute sample position of this subframe in the
 	// receiver's stream (the phase anchor for CFO correction and the
 	// scatter demodulator).
@@ -142,49 +135,9 @@ type Session struct {
 	Sink Sink
 	// Taps optionally observe intermediate waveforms.
 	Taps Taps
-	// Lane selects the sample representation of the per-sample chain:
-	// LaneFloat (default) is the complex128 conformance reference,
-	// LaneFixedPoint runs tag reflection, paths, combine, noise and
-	// impairments on Q1.15 buffers (same RNG streams, same draw order). See
-	// docs/PERFORMANCE.md for when each lane is the right choice.
-	Lane Lane
-	// Bank, when set, replaces the built-in TDMA tag stage with an external
-	// fleet scheduler: it decides per subframe which tags transmit (and are
-	// full-simulated) and hands the engine a closed-form coefficient for
-	// the parked rest, making the tag stage O(transmitting tags) instead of
-	// O(all tags). Owner and each Tag's Park flag are ignored while a Bank
-	// is installed. internal/fleet provides the implementation; see
-	// docs/FLEET.md.
-	Bank TagBank
 
 	n     int
 	start int
-
-	// Cached pure/stateful path splits (see parallel.go). A Session's stage
-	// wiring is fixed after construction, so they are computed once on
-	// first Step/RunParallel.
-	prepared   bool
-	directPure PathStage
-	directRest PathStage
-	tagPure    []PathStage
-	tagRest    []PathStage
-}
-
-// prepare caches the parallel-safe/stateful split of the direct and per-tag
-// paths. Wiring (Direct, Tags and their Paths) must not change once the
-// session has started stepping — which the "single-stream sequential state"
-// contract already implies.
-func (s *Session) prepare() {
-	if s.prepared {
-		return
-	}
-	s.directPure, s.directRest = splitPath(s.Direct)
-	s.tagPure = make([]PathStage, len(s.Tags))
-	s.tagRest = make([]PathStage, len(s.Tags))
-	for i, t := range s.Tags {
-		s.tagPure[i], s.tagRest[i] = splitPath(t.Path)
-	}
-	s.prepared = true
 }
 
 // Subframes returns how many subframes the session has advanced.
@@ -194,16 +147,86 @@ func (s *Session) Subframes() int { return s.n }
 func (s *Session) StartSample() int { return s.start }
 
 // Step advances the chain by one subframe and returns the consumed Frame.
-// Both lanes run the same three phases the subframe-parallel runner uses —
-// stateful planning, pure per-sample work, stateful merge (see parallel.go)
-// — so there is exactly one owner/park dispatch loop in the engine and the
-// sequential and parallel paths cannot drift apart.
+//
+// The order of the work is part of the determinism contract. The owning
+// tag's payload feed, burst jitter and modulation schedule are drawn first.
+// The Ambient tap then sees the excitation, the direct path runs, and each
+// modulating or parked tag reflects in index order: its Reflected tap sees
+// the raw reflection before its Path is applied. The receiver combines the
+// paths in that same order, then noise, impairments, tracking and the Sink
+// follow.
 func (s *Session) Step() *Frame {
-	s.prepare()
-	j := s.planJob()
-	s.workJob(j, s.directPure, s.tagPure)
-	s.mergeJob(j, s.directRest, s.tagRest)
-	return j.f
+	sf := s.Source.NextSubframe()
+	f := &Frame{
+		N:        s.n,
+		Subframe: sf,
+		Burst:    IsBurstSubframe(sf.Index),
+		Owner:    -1,
+		Start:    s.start,
+	}
+	s.n++
+
+	var plan tag.Plan
+	if len(s.Tags) > 0 {
+		f.Owner = 0
+		if s.Owner != nil {
+			f.Owner = s.Owner(f.N)
+		}
+		if f.Owner >= 0 && f.Owner < len(s.Tags) {
+			t := s.Tags[f.Owner]
+			if t.Feed != nil {
+				t.Feed(f.N, t.Mod)
+			}
+			if t.Jitter != nil && f.Burst {
+				t.Mod.SetTimingError(t.base() + t.Jitter.Next())
+			}
+			plan = t.Mod.PlanSubframe(sf.Index, f.Burst)
+			f.Records = plan.Records
+		}
+	}
+
+	if s.Taps.Ambient != nil {
+		s.Taps.Ambient(f, sf.Samples)
+	}
+	var paths [][]complex128
+	if s.Direct != nil {
+		paths = append(paths, s.Direct.Apply(sf.Samples))
+	}
+	for i, t := range s.Tags {
+		var refl []complex128
+		switch {
+		case i == f.Owner:
+			refl = t.Mod.ApplyPlan(sf.Samples, plan)
+		case t.Park:
+			refl = t.Mod.ParkedSubframe(sf.Samples)
+		default:
+			continue
+		}
+		if s.Taps.Reflected != nil {
+			s.Taps.Reflected(f, i, refl)
+		}
+		if t.Path != nil {
+			refl = t.Path.Apply(refl)
+		}
+		paths = append(paths, refl)
+	}
+
+	f.RX = sf.Samples
+	if s.Link != nil {
+		f.RX = s.Link.Receive(paths...)
+	}
+	if s.Tracker != nil {
+		f.RX, f.Reacquired = s.Tracker.Process(f.RX, f.Start)
+	}
+
+	advance := true
+	if s.Sink != nil {
+		advance = s.Sink.Consume(f)
+	}
+	if advance {
+		s.start += len(sf.Samples)
+	}
+	return f
 }
 
 // Run advances the chain n subframes.

@@ -20,13 +20,9 @@
 //   - Determinism. Stages draw randomness only from the rng.Source streams
 //     handed to them at construction, in a fixed per-subframe order (tag
 //     payload feed, per-burst jitter, path application, receiver noise,
-//     impairments). A Session is therefore bit-reproducible — at any level
-//     of parallelism: Session.RunParallel fans only the pure per-sample
-//     work out to workers, while every stateful stage and every RNG draw
-//     runs in subframe order on the coordinating goroutine (see
-//     parallel.go), so its results are bit-identical to the sequential Run.
-//     Coarser parallelism across independent Sessions remains one level up
-//     (internal/experiments' worker pool).
+//     impairments), so a Session is bit-reproducible. Parallelism lives one
+//     level up, across independent Sessions (internal/experiments' worker
+//     pool).
 //
 //   - Streaming with bounded buffers. A Session holds no history: each Step
 //     materializes one subframe's waveforms, hands them to the Sink, and
@@ -43,15 +39,11 @@
 // excitation, each tag's raw reflection — without perturbing the chain;
 // cmd/lscatter-iq and the interference-PSD experiment are tap consumers.
 //
-// The engine runs in one of two sample lanes (Session.Lane): the complex128
-// float lane is the conformance reference, and the Q1.15 fixed-point lane
-// (internal/fxp) carries block-scaled int16 buffers through the per-sample
-// stages at a fraction of the cost, drawing byte-identical RNG streams so
-// the lanes stay directly comparable. The Streamer (stream.go) goes one
-// step further for the fixed-gain transport core, precomputing per-unit
-// composite words so the steady-state loop is a select-and-add per four
-// samples; it is the engine behind the real-time-factor numbers in
-// docs/PERFORMANCE.md.
+// The Session runs on complex128 samples throughout. The Streamer
+// (stream.go) is a separate engine for the fixed-gain transport core: it
+// precomputes per-unit Q1.15 composite words (internal/fxp) so the
+// steady-state loop is a select-and-add per four samples. It is the engine
+// behind the real-time-factor numbers in docs/PERFORMANCE.md.
 package simlink
 
 import (

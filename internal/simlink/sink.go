@@ -126,17 +126,17 @@ func (k *DemodSink) Consume(f *Frame) bool {
 			if k.ResetEachBurst {
 				k.Scatter.Reset()
 			}
-			res = k.acquireBurst(f, lte.RefSamples)
+			res = k.Scatter.AcquireBurst(f.RX, lte.RefSamples, f.Subframe.Index, f.Start)
 			if res.Synced {
 				k.Synced = true
 				if k.OnSync != nil {
 					k.OnSync(f, res)
 				}
-				d := k.demodSubframe(f, lte.RefSamples, true)
+				d := k.Scatter.DemodSubframe(f.RX, lte.RefSamples, f.Subframe.Index, f.Start, true)
 				res.Decisions = d.Decisions
 			}
 		} else {
-			res = k.demodSubframe(f, lte.RefSamples, false)
+			res = k.Scatter.DemodSubframe(f.RX, lte.RefSamples, f.Subframe.Index, f.Start, false)
 		}
 	}
 	if res == nil {
@@ -152,24 +152,6 @@ func (k *DemodSink) Consume(f *Frame) bool {
 	}
 	k.settle(f, res)
 	return true
-}
-
-// acquireBurst runs burst acquisition through the fixed-point front end when
-// the frame carries a Q1.15 receive block (a fixed-point-lane session), and
-// through the float path otherwise.
-func (k *DemodSink) acquireBurst(f *Frame, ref []complex128) *ue.ScatterResult {
-	if f.RXFxp != nil {
-		return k.Scatter.AcquireBurstFxp(f.RXFxp, ref, f.Subframe.Index, f.Start)
-	}
-	return k.Scatter.AcquireBurst(f.RX, ref, f.Subframe.Index, f.Start)
-}
-
-// demodSubframe is the tracked-demodulation counterpart of acquireBurst.
-func (k *DemodSink) demodSubframe(f *Frame, ref []complex128, skipFirst bool) *ue.ScatterResult {
-	if f.RXFxp != nil {
-		return k.Scatter.DemodSubframeFxp(f.RXFxp, ref, f.Subframe.Index, f.Start, skipFirst)
-	}
-	return k.Scatter.DemodSubframe(f.RX, ref, f.Subframe.Index, f.Start, skipFirst)
 }
 
 // settle compares the demodulated decisions against the owning tag's symbol

@@ -42,7 +42,7 @@ func streamTestConfig(noiseW float64, timingUnits int) StreamConfig {
 }
 
 // TestStreamerMatchesFloatSession pins the noiseless Streamer sample-exact
-// (within one Q1.15 quantization step) against the float-lane Session run
+// (within one Q1.15 quantization step) against the Session run
 // over the same ambient frame, gains and payload bits — the conformance
 // pre-pass behind the real-time-factor headline (docs/PERFORMANCE.md).
 func TestStreamerMatchesFloatSession(t *testing.T) {

@@ -130,15 +130,6 @@ func (m *Modulator) SentBits() int { return m.sent }
 // relative to the switching state.
 const parkLossDB = 10
 
-// ParkedGain returns the amplitude coefficient of the parked-switch echo:
-// ParkedSubframe multiplies the ambient waveform by exactly this value. A
-// fleet-scale scheduler sums these coefficients (times each tag's scalar
-// path gain) to advance thousands of parked tags in closed form instead of
-// per sample.
-func (m *Modulator) ParkedGain() float64 {
-	return math.Sqrt(dsp.FromDB(-m.cfg.ReflectionLossDB - parkLossDB))
-}
-
 // ParkedSubframe models a tag that is not scheduled in this TDMA slot: the
 // switch is parked (no square-wave toggling), so the reflection is a weak
 // static in-band echo — indistinguishable from environmental clutter and,
@@ -146,7 +137,7 @@ func (m *Modulator) ParkedGain() float64 {
 // be transmitting.
 func (m *Modulator) ParkedSubframe(ambient []complex128) []complex128 {
 	out := make([]complex128, len(ambient))
-	amp := complex(m.ParkedGain(), 0)
+	amp := complex(math.Sqrt(dsp.FromDB(-m.cfg.ReflectionLossDB-parkLossDB)), 0)
 	for i, v := range ambient {
 		out[i] = v * amp
 	}
@@ -196,9 +187,8 @@ func DataWindows(p ltephy.Params, subframe int) []int {
 // is touched: the per-unit switch phase, the symbol records, and the timing
 // shift in effect at planning time. Splitting planning (which consumes
 // payload bits and mutates modulator state) from waveform application
-// (which is a pure function of ambient + Plan) is what lets the
-// subframe-parallel runner fan the per-sample work out to workers while the
-// bit queue advances strictly in order.
+// (which is a pure function of ambient + Plan) lets a simlink.Session draw
+// every tag-side input of a subframe before any path stage runs.
 type Plan struct {
 	// Phase is the per-unit switch phase in the tag's local clock:
 	// false = 0, true = pi.
@@ -258,8 +248,7 @@ func (m *Modulator) PlanSubframe(subframe int, startBurst bool) Plan {
 }
 
 // ApplyPlan applies the switch waveform of a captured Plan to one subframe
-// of ambient samples: a pure function of its inputs, safe to run
-// concurrently with planning of later subframes.
+// of ambient samples: a pure function of its inputs.
 func (m *Modulator) ApplyPlan(ambient []complex128, pl Plan) []complex128 {
 	p := m.cfg.Params
 	ov := p.Oversample
