@@ -9,7 +9,7 @@
 //	lscatter-bench -all -artifact-dir DIR [-resume]
 //	lscatter-bench -all -shard-workers http://127.0.0.1:9301,http://127.0.0.1:9302
 //	lscatter-bench -impair [-seed 7] [-metrics out.json]
-//	lscatter-bench -rtf [-rtf-subframes 2000] [-metrics out.json]
+//	lscatter-bench -rtf [-metrics out.json]
 //
 // With -all, artifacts run on a worker pool (-parallel N; 0 selects NumCPU,
 // 1 — the default — is sequential). The output is deterministic: each
@@ -25,12 +25,10 @@
 // Every executor prints byte-identical tables — the checkpoint/restore
 // summary goes to stderr. See docs/DISTRIBUTED.md.
 //
-// -rtf measures the real-time factor of the transport pipeline at 20 MHz on
-// one goroutine (fixed-point streamer headline plus the full float Session)
-// and prints the result; it composes with -all and -metrics, in which case
-// the measurement lands in the report's "rtf" object. The methodology and
-// the recorded targets live in docs/PERFORMANCE.md; `make rtf-check` gates
-// regressions against BENCH_R3.json.
+// -rtf measures the real-time factor of the float Session at 20 MHz on one
+// goroutine and prints it; it composes with -all and -metrics, in which case
+// the measurement lands in the report's "rtf" object. The methodology lives
+// in docs/PERFORMANCE.md.
 //
 // -impair is shorthand for the link-resilience sweep (-id R1): the exact
 // chain run through the off/mild/moderate/severe fault-injection ladder,
@@ -84,8 +82,7 @@ func main() {
 		resume       = flag.Bool("resume", false, "restore already-checkpointed artifacts from -artifact-dir")
 		shardWorkers = flag.String("shard-workers", "", "comma-separated lscatter-worker base URLs for -all")
 		impaired     = flag.Bool("impair", false, "run the link-resilience sweep (shorthand for -id R1)")
-		rtf          = flag.Bool("rtf", false, "measure the transport real-time factor at 20 MHz")
-		rtfSF        = flag.Int("rtf-subframes", 0, "timed subframes for -rtf (0 = default 2000)")
+		rtf          = flag.Bool("rtf", false, "measure the Session real-time factor at 20 MHz")
 
 		fleetRun     = flag.Bool("fleet", false, "run the event-driven fleet engine standalone")
 		fleetTags    = flag.Int("fleet-tags", 1_000_000, "fleet size for -fleet")
@@ -110,7 +107,7 @@ func main() {
 	// runRTF performs the real-time-factor measurement (after any artifact
 	// regeneration, so the timed loop runs on a quiet process).
 	runRTF := func() *experiments.RTFReport {
-		rep := experiments.RunRTF(experiments.RTFConfig{Subframes: *rtfSF, Seed: *seed})
+		rep := experiments.RunRTF(*seed)
 		fmt.Println(rep.Render())
 		return rep
 	}

@@ -16,15 +16,13 @@
 //   - examples/ — runnable demonstrations
 //   - docs/ — ARCHITECTURE.md (signal path, cache, pool), BENCHMARKS.md
 //     (how to measure, recorded baselines) and PERFORMANCE.md (real-time
-//     factor, the streamer's fixed-point error budget)
+//     factor)
 //
 // Regeneration is deterministic: per-artifact seeds derive from the master
 // seed, so `lscatter-bench -all` prints byte-identical tables at any
-// -parallel worker count. The general waveform chain runs slower than real
-// time; the fixed-point transport streamer (internal/simlink, internal/fxp)
-// synthesizes the received 20 MHz waveform at 14x real time on one core —
-// `lscatter-bench -rtf` measures it. The root-level benchmarks in
-// bench_test.go regenerate each paper artifact:
+// -parallel worker count. The waveform chain runs slower than real time;
+// `lscatter-bench -rtf` measures its real-time factor at 20 MHz. The
+// root-level benchmarks in bench_test.go regenerate each paper artifact:
 //
 //	go test -bench=Fig -benchmem .
 package lscatter

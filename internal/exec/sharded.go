@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"strings"
@@ -54,16 +55,9 @@ func NewSharded(workers []string, client *http.Client) *Sharded {
 // ring size. Stable across processes, so every participant agrees on the
 // partition without coordination.
 func shardOf(id string, n int) int {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= prime64
-	}
-	return int(h % uint64(n))
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	return int(h.Sum64() % uint64(n))
 }
 
 // Redispatched reports how many submissions had to leave their home shard

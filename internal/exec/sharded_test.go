@@ -26,6 +26,25 @@ func newTestWorker(t *testing.T, dir string) (*httptest.Server, *WorkerHandler) 
 	return srv, h
 }
 
+// TestShardOfStable pins the ID → home-worker map. Every participant in a
+// sharded sweep must agree on it, so a change here silently rebalances
+// every existing deployment.
+func TestShardOfStable(t *testing.T) {
+	for _, c := range []struct {
+		id   string
+		n    int
+		want int
+	}{
+		{"F23", 3, 1},
+		{"C1", 3, 0},
+		{"A3", 3, 0},
+	} {
+		if got := shardOf(c.id, c.n); got != c.want {
+			t.Errorf("shardOf(%q, %d) = %d, want %d", c.id, c.n, got, c.want)
+		}
+	}
+}
+
 // TestShardedMatchesLocal is the refactor's conformance gate at the
 // executor level: two HTTP workers sharing one artifact directory must
 // produce byte-for-byte the artifacts a Local executor produces, with zero

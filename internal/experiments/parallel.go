@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"hash/fnv"
 
 	"lscatter/internal/exec"
 )
@@ -14,16 +15,9 @@ import (
 // bit-identical to the sequential path at any worker count, and artifact
 // bytes safe to checkpoint and shard across processes.
 func DeriveSeed(seed uint64, id string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(id); i++ {
-		h ^= uint64(id[i])
-		h *= prime64
-	}
-	return seed ^ h
+	h := fnv.New64a()
+	h.Write([]byte(id))
+	return seed ^ h.Sum64()
 }
 
 // RunAll regenerates every registered artifact using a pool of workers and

@@ -24,6 +24,19 @@ func TestDeriveSeedDecorrelatesArtifacts(t *testing.T) {
 	if DeriveSeed(7, "F23") != DeriveSeed(7, "F23") {
 		t.Fatal("derivation is not deterministic")
 	}
+	// Literal FNV-1a-64 values: a change here re-seeds every artifact and
+	// moves every -all table and checkpointed artifact address.
+	for _, c := range []struct {
+		id   string
+		want uint64
+	}{
+		{"F23", 17418895425283931111},
+		{"C1", 652880142081145400},
+	} {
+		if got := DeriveSeed(1, c.id); got != c.want {
+			t.Errorf("DeriveSeed(1, %q) = %d, want %d", c.id, got, c.want)
+		}
+	}
 }
 
 // TestRunAllMatchesSequential is the harness determinism guarantee: a

@@ -169,20 +169,6 @@ func windowStartUnit(p ltephy.Params, l int) int {
 	return cp + (useful-p.UsefulModulationUnits())/2
 }
 
-// DataWindows returns, for each data symbol of the subframe (in DataSymbols
-// order), the first basic-timing unit of its useful-modulation window
-// relative to the subframe start. It is PlanSubframe's schedule arithmetic
-// exposed for consumers that pack modulation plans without a Modulator (the
-// simlink streamer).
-func DataWindows(p ltephy.Params, subframe int) []int {
-	ov := p.Oversample
-	var out []int
-	for _, l := range DataSymbols(subframe) {
-		out = append(out, ltephy.SymbolStart(p, l)/ov+windowStartUnit(p, l))
-	}
-	return out
-}
-
 // Plan is one subframe's modulation schedule, captured before the waveform
 // is touched: the per-unit switch phase, the symbol records, and the timing
 // shift in effect at planning time. Splitting planning (which consumes
