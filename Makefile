@@ -33,7 +33,6 @@ docs-check:
 # arbitrary input; see docs/RESILIENCE.md.
 FUZZTIME ?= 30s
 fuzz-smoke:
-	$(GO) test ./internal/ue -run='^$$' -fuzz=FuzzCellSearch -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/ue -run='^$$' -fuzz=FuzzEstimateCFO -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/scatterframe -run='^$$' -fuzz=FuzzDecode$$ -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/scatterframe -run='^$$' -fuzz=FuzzDecodeSoft -fuzztime=$(FUZZTIME)

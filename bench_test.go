@@ -21,7 +21,6 @@ import (
 	"lscatter/internal/experiments"
 	"lscatter/internal/fleet"
 	"lscatter/internal/ltephy"
-	"lscatter/internal/ue"
 )
 
 var benchSink *experiments.Result
@@ -237,44 +236,6 @@ func BenchmarkSemiAnalyticLink(b *testing.B) {
 		reportSink = core.Run(cfg)
 	}
 }
-
-// Acquisition micro-benchmarks: blind cell search over a two-subframe
-// downlink stream (the UE's cold-start path) and the per-subframe OFDM
-// demodulator it hands off to.
-
-// cellSearchStream builds a deterministic two-subframe downlink stream
-// (subframes 0 and 1: one PSS/SSS pair plus trailing context) at the given
-// bandwidth, enough for CellSearch's stage-1 sweep and SSS resolution.
-func cellSearchStream(b *testing.B, bw ltephy.Bandwidth) []complex128 {
-	b.Helper()
-	enb := enodeb.New(enodeb.DefaultConfig(bw))
-	var stream []complex128
-	for i := 0; i < 2; i++ {
-		stream = append(stream, enb.NextSubframe().Samples...)
-	}
-	return stream
-}
-
-var cellSearchSink *ue.CellSearchResult
-
-func benchCellSearch(b *testing.B, bw ltephy.Bandwidth) {
-	b.Helper()
-	p := ltephy.DefaultParams(bw)
-	stream := cellSearchStream(b, bw)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		res, err := ue.CellSearch(p.BW, p.Oversample, stream)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cellSearchSink = res
-	}
-}
-
-// BenchmarkCellSearch measures blind PSS/SSS acquisition per bandwidth.
-func BenchmarkCellSearch1_4MHz(b *testing.B) { benchCellSearch(b, ltephy.BW1_4) }
-func BenchmarkCellSearch5MHz(b *testing.B)   { benchCellSearch(b, ltephy.BW5) }
-func BenchmarkCellSearch20MHz(b *testing.B)  { benchCellSearch(b, ltephy.BW20) }
 
 var gridSink *ltephy.Grid
 

@@ -75,7 +75,7 @@ func main() {
 	}
 	fmt.Printf("lscatter-served listening on http://%s\n", ln.Addr())
 
-	srv := &http.Server{Handler: api.Handler()}
+	srv := newHTTPServer(api.Handler())
 	errc := make(chan error, 1)
 	go func() { errc <- srv.Serve(ln) }()
 
@@ -99,4 +99,18 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Println("lscatter-served: bye")
+}
+
+// Header reads and idle keep-alive connections are bounded so a slow or
+// abandoned client cannot pin a connection forever. There is deliberately
+// no ReadTimeout or WriteTimeout: an SSE progress stream stays open for the
+// whole life of its job.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the API handler in the server's connection limits.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

@@ -29,6 +29,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"time"
 
 	"lscatter/internal/exec"
 	"lscatter/internal/experiments"
@@ -70,8 +71,22 @@ func main() {
 	}
 	fmt.Printf("http://%s\n", ln.Addr())
 	log.Printf("lscatter-worker: serving on http://%s (artifact-dir=%q)", ln.Addr(), *artifactDir)
-	if err := http.Serve(ln, exec.NewWorkerHandler(ex)); err != nil {
+	if err := newHTTPServer(exec.NewWorkerHandler(ex)).Serve(ln); err != nil {
 		fmt.Fprintf(os.Stderr, "lscatter-worker: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// Header reads and idle keep-alive connections are bounded so a slow or
+// abandoned client cannot pin a connection forever. There is deliberately
+// no ReadTimeout or WriteTimeout: a job's response is written only when its
+// artifact is computed, which can take far longer than any fixed budget.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps the worker handler in the server's connection limits.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 }

@@ -112,20 +112,6 @@ func (s *Sender) Queue(payload []byte) {
 	s.queue = append(s.queue, append([]byte(nil), payload...))
 }
 
-// Pending returns the number of queued-but-unsent payloads.
-func (s *Sender) Pending() int { return len(s.queue) }
-
-// Unacked returns the number of in-flight frames.
-func (s *Sender) Unacked() int {
-	n := 0
-	for _, st := range s.inFlight {
-		if !st.acked {
-			n++
-		}
-	}
-	return n
-}
-
 // NextFrame returns the frame to transmit this slot, or nil if the sender
 // has nothing to do: first any timed-out unacked frame (oldest first), then
 // a fresh frame if the window allows.

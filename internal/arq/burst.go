@@ -59,9 +59,6 @@ func NewGilbertElliott(r *rng.Source, cfg GEConfig) *GilbertElliott {
 	return &GilbertElliott{cfg: cfg, r: r}
 }
 
-// InBurst reports whether the channel is currently in the bad state.
-func (g *GilbertElliott) InBurst() bool { return g.bad }
-
 // Next advances one slot and reports whether a frame sent now is delivered.
 func (g *GilbertElliott) Next() bool {
 	if g.bad {

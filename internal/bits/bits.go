@@ -69,31 +69,6 @@ func CountDiff(a, b []byte) int {
 // transport blocks.
 func CRC16(b []byte) []byte { return crcBits(b, 0x1021, 16) }
 
-// CRC32 computes the IEEE 802 CRC-32 (polynomial 0x04C11DB7, init 0) over a
-// bit slice, returning 32 CRC bits MSB first. The 802.11 FCS uses this
-// polynomial (with inversions this simplified form omits — both ends here
-// use the same convention, which preserves all error-detection properties).
-func CRC32(b []byte) []byte { return crcBits(b, 0x04C11DB7, 32) }
-
-// AttachCRC32 returns b with its CRC32 appended.
-func AttachCRC32(b []byte) []byte { return append(append([]byte(nil), b...), CRC32(b)...) }
-
-// CheckCRC32 verifies a bit slice with trailing CRC32.
-func CheckCRC32(b []byte) (payload []byte, ok bool) {
-	if len(b) < 32 {
-		return nil, false
-	}
-	payload = b[:len(b)-32]
-	want := CRC32(payload)
-	got := b[len(b)-32:]
-	for i := range want {
-		if want[i] != got[i] {
-			return payload, false
-		}
-	}
-	return payload, true
-}
-
 // CRC24A computes LTE's CRC24A (polynomial 0x864CFB) over a bit slice,
 // returning 24 CRC bits MSB first.
 func CRC24A(b []byte) []byte { return crcBits(b, 0x864CFB, 24) }

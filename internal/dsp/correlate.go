@@ -2,11 +2,11 @@ package dsp
 
 // Fast cross-correlation engine. The direct O(N*M) form in CrossCorrelate is
 // kept as the reference implementation; this file provides the production
-// path: FFT overlap-save with cached plans and precomputed reference spectra,
-// a one-stream/many-references batch mode (CorrelatorBank) so a cell search
-// transforms the sample stream once per block and reuses the stream spectrum
-// for every reference, and a benchmark-chosen crossover below which the
-// direct form still wins.
+// path, CorrelatorBank: FFT overlap-save with a cached plan and precomputed
+// reference spectra, one stream against one or more equal-length references
+// (the stream is transformed once per block and its spectrum reused for
+// every reference), and a benchmark-chosen crossover below which the direct
+// form still wins.
 //
 // Overlap-save block math: for a reference of length M the engine picks a
 // power-of-two block L >= overlapSaveFactor*M and precomputes
@@ -99,109 +99,12 @@ func ReleaseBuf(p *[]complex128) {
 	bufPool(class).Put(p)
 }
 
-// Correlator computes cross-correlation against one fixed reference using
-// FFT overlap-save, falling back to the direct form below the crossover. The
-// reference spectrum and plan are computed once at construction, so repeated
-// calls against new streams (the per-subframe acquisition path) do no
-// per-call setup. A Correlator is safe for concurrent use: all retained
-// state is read-only after construction and scratch comes from the pool.
-type Correlator struct {
-	m     int
-	ref   []complex128 // private copy, for the direct fallback
-	refE  float64
-	block int          // overlap-save FFT size L (power of two)
-	step  int          // valid output lags per block, V = L-M+1
-	plan  *Plan
-	spec  []complex128 // conj(FFT_L(ref zero-padded to L))
-}
-
-// NewCorrelator builds a correlator for the given reference. The reference
-// is copied; it panics on an empty reference.
-func NewCorrelator(ref []complex128) *Correlator {
-	if len(ref) == 0 {
-		panic("dsp: NewCorrelator with empty reference")
-	}
-	m := len(ref)
-	c := &Correlator{
-		m:     m,
-		ref:   append([]complex128(nil), ref...),
-		refE:  Energy(ref),
-		block: ceilPow2(overlapSaveFactor * m),
-	}
-	c.step = c.block - m + 1
-	c.plan = PlanFor(c.block)
-	c.spec = refSpectrum(c.plan, c.block, ref)
-	return c
-}
-
 // refSpectrum returns conj(FFT_L(ref zero-padded to L)).
 func refSpectrum(plan *Plan, block int, ref []complex128) []complex128 {
 	spec := make([]complex128, block)
 	copy(spec, ref)
 	plan.Forward(spec, spec)
 	return Conj(spec)
-}
-
-// RefLen returns the reference length M.
-func (c *Correlator) RefLen() int { return c.m }
-
-// RefEnergy returns the reference energy sum |ref[n]|^2.
-func (c *Correlator) RefEnergy() float64 { return c.refE }
-
-// Correlate computes out[lag] = sum_n x[lag+n]*conj(ref[n]) for lag in
-// [0, len(x)-M], appending nothing: the result is written into dst (grown if
-// needed) and returned. A nil dst allocates. It returns nil when x is
-// shorter than the reference, matching CrossCorrelate.
-func (c *Correlator) Correlate(dst, x []complex128) []complex128 {
-	nOut := len(x) - c.m + 1
-	if nOut <= 0 {
-		return nil
-	}
-	if cap(dst) < nOut {
-		dst = make([]complex128, nOut)
-	}
-	dst = dst[:nOut]
-	if useDirect(len(x), c.m) {
-		directCorrelate(dst, x, c.ref)
-		return dst
-	}
-	c.correlateFFT(dst, x)
-	return dst
-}
-
-// correlateFFT runs the overlap-save path unconditionally (the crossover
-// benchmarks call it directly to measure both sides of the policy).
-func (c *Correlator) correlateFFT(dst, x []complex128) {
-	work := AcquireBuf(c.block)
-	defer ReleaseBuf(work)
-	buf := *work
-	for pos := 0; pos < len(dst); pos += c.step {
-		c.correlateBlock(buf, x, pos)
-		cnt := len(dst) - pos
-		if cnt > c.step {
-			cnt = c.step
-		}
-		copy(dst[pos:pos+cnt], buf[:cnt])
-	}
-}
-
-// correlateBlock runs one overlap-save round: load the block at stream
-// position pos (zero-padded past the end), transform, multiply by the
-// reference spectrum, and inverse-transform in place.
-func (c *Correlator) correlateBlock(buf, x []complex128, pos int) {
-	avail := len(x) - pos
-	if avail > c.block {
-		avail = c.block
-	}
-	copy(buf, x[pos:pos+avail])
-	for i := avail; i < c.block; i++ {
-		buf[i] = 0
-	}
-	c.plan.Forward(buf, buf)
-	for i, s := range c.spec {
-		buf[i] *= s
-	}
-	c.plan.Inverse(buf, buf)
 }
 
 // directCorrelate is the direct form written into dst (the engine-internal
@@ -217,47 +120,6 @@ func directCorrelate(dst, x, ref []complex128) {
 	}
 }
 
-// NormalizedPeak returns the lag and normalized correlation magnitude (0..1)
-// of the best match of the reference inside x, equivalent to
-// NormalizedCorrPeak but using the engine.
-func (c *Correlator) NormalizedPeak(x []complex128) (lag int, peak float64) {
-	nOut := len(x) - c.m + 1
-	if nOut <= 0 || c.refE == 0 {
-		return 0, 0
-	}
-	corrBuf := AcquireBuf(nOut)
-	defer ReleaseBuf(corrBuf)
-	corr := c.Correlate(*corrBuf, x)
-	return peakOverLags(x, corr, c.m, c.refE)
-}
-
-// peakOverLags scans a correlation vector with the running segment-energy
-// recurrence of NormalizedCorrPeak (same operation order, so results match
-// the reference implementation bit for bit).
-func peakOverLags(x, corr []complex128, m int, refE float64) (int, float64) {
-	segE := Energy(x[:m])
-	best, bestVal := 0, -1.0
-	for l := range corr {
-		if l > 0 {
-			out := x[l-1]
-			in := x[l+m-1]
-			segE += real(in)*real(in) + imag(in)*imag(in) - real(out)*real(out) - imag(out)*imag(out)
-		}
-		den := math.Sqrt(segE * refE)
-		if den <= 0 {
-			continue
-		}
-		v := cmplx.Abs(corr[l]) / den
-		if v > bestVal {
-			best, bestVal = l, v
-		}
-	}
-	if bestVal < 0 {
-		return 0, 0
-	}
-	return best, bestVal
-}
-
 // CorrPeak is one reference's best normalized match inside a stream.
 type CorrPeak struct {
 	// Lag is the stream offset of the peak.
@@ -266,13 +128,12 @@ type CorrPeak struct {
 	Peak float64
 }
 
-// CorrelatorBank correlates one stream against several equal-length
-// references at once. The batch win over independent Correlators is that
-// each overlap-save block of the stream is transformed a single time and the
-// stream spectrum is shared across all references — for the three PSS roots
-// of a cell search that removes two of the three forward FFT passes — and
-// the segment-energy normalization sweep is likewise shared. A bank is safe
-// for concurrent use.
+// CorrelatorBank correlates one stream against one or more equal-length
+// references. Each overlap-save block of the stream is transformed a single
+// time and the stream spectrum is shared across all references, and the
+// segment-energy normalization sweep is likewise shared. All retained state
+// is read-only after construction and scratch comes from the pool, so a
+// bank is safe for concurrent use.
 type CorrelatorBank struct {
 	m     int
 	refs  [][]complex128
@@ -345,6 +206,15 @@ func (b *CorrelatorBank) CorrelateAll(dst [][]complex128, x []complex128) [][]co
 		}
 		return dst
 	}
+	b.correlateFFT(dst, x)
+	return dst
+}
+
+// correlateFFT runs the overlap-save path unconditionally into dst, one
+// pre-sized vector per reference (the crossover benchmarks call it directly
+// to measure both sides of the policy).
+func (b *CorrelatorBank) correlateFFT(dst [][]complex128, x []complex128) {
+	nOut := len(dst[0])
 	fxBuf := AcquireBuf(b.block)
 	workBuf := AcquireBuf(b.block)
 	defer ReleaseBuf(fxBuf)
@@ -374,13 +244,13 @@ func (b *CorrelatorBank) CorrelateAll(dst [][]complex128, x []complex128) [][]co
 			copy(dst[r][pos:pos+cnt], work[:cnt])
 		}
 	}
-	return dst
 }
 
 // NormalizedPeaks returns the best normalized match of every reference
-// inside x, sharing one segment-energy sweep across the bank. Peaks are
-// computed with the exact normalization of NormalizedCorrPeak; a stream
-// shorter than the references yields zero peaks.
+// inside x: the correlation magnitude divided by sqrt(segment energy *
+// reference energy), maximized over lags, with one running segment-energy
+// sweep shared across the bank. A stream shorter than the references, or a
+// reference or stream with no energy, yields a zero peak.
 func (b *CorrelatorBank) NormalizedPeaks(x []complex128) []CorrPeak {
 	peaks := make([]CorrPeak, len(b.refs))
 	nOut := len(x) - b.m + 1
@@ -395,9 +265,8 @@ func (b *CorrelatorBank) NormalizedPeaks(x []complex128) []CorrPeak {
 		defer ReleaseBuf(bufs[i])
 	}
 	b.CorrelateAll(corrs, x)
-	// One segment-energy sweep shared by every reference. The recurrence and
-	// per-lag normalization are exactly those of NormalizedCorrPeak, so each
-	// reference's (lag, peak) matches an independent call bit for bit.
+	// One segment-energy sweep shared by every reference; each reference's
+	// (lag, peak) matches a one-reference bank bit for bit.
 	best := make([]float64, len(b.refs))
 	for r := range best {
 		best[r] = -1
@@ -427,18 +296,4 @@ func (b *CorrelatorBank) NormalizedPeaks(x []complex128) []CorrPeak {
 		}
 	}
 	return peaks
-}
-
-// Correlate computes the same result as CrossCorrelate via the fastest
-// method for the sizes involved: direct form below the crossover, FFT
-// overlap-save above it. One-shot callers pay the reference-spectrum setup
-// per call; callers that reuse a reference should hold a Correlator.
-func Correlate(x, ref []complex128) []complex128 {
-	if len(ref) == 0 || len(x) < len(ref) {
-		return nil
-	}
-	if useDirect(len(x), len(ref)) {
-		return CrossCorrelate(x, ref)
-	}
-	return NewCorrelator(ref).Correlate(nil, x)
 }

@@ -71,6 +71,29 @@ var corrSizes = []struct {
 	{"few_lags_fallback", 530, 512},
 }
 
+// directNormalizedPeak is the reference for NormalizedPeaks: CrossCorrelate
+// normalized by each lag's segment energy, computed afresh per lag.
+func directNormalizedPeak(x, ref []complex128) CorrPeak {
+	refE := Energy(ref)
+	best, bestVal := CorrPeak{}, -1.0
+	for l, c := range CrossCorrelate(x, ref) {
+		den := math.Sqrt(Energy(x[l:l+len(ref)]) * refE)
+		if den <= 0 {
+			continue
+		}
+		if v := cmplx.Abs(c) / den; v > bestVal {
+			best, bestVal = CorrPeak{Lag: l, Peak: v}, v
+		}
+	}
+	return best
+}
+
+// oneRef builds a single-reference bank, the form every one-reference
+// correlation takes.
+func oneRef(ref []complex128) *CorrelatorBank {
+	return NewCorrelatorBank([][]complex128{ref})
+}
+
 func TestCorrelatorMatchesDirect(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for _, tc := range corrSizes {
@@ -78,36 +101,39 @@ func TestCorrelatorMatchesDirect(t *testing.T) {
 			x := randIQ(rng, tc.n)
 			ref := randIQ(rng, tc.m)
 			want := CrossCorrelate(x, ref)
-			c := NewCorrelator(ref)
-			got := c.Correlate(nil, x)
-			assertCorrEquiv(t, got, want, 1e-9)
+			b := oneRef(ref)
+			got := b.CorrelateAll(nil, x)
+			assertCorrEquiv(t, got[0], want, 1e-9)
 			// Reusing a destination must give the same answer.
-			got2 := c.Correlate(got, x)
-			assertCorrEquiv(t, got2, want, 1e-9)
-			// The adaptive front door agrees too.
-			assertCorrEquiv(t, Correlate(x, ref), want, 1e-9)
+			got2 := b.CorrelateAll(got, x)
+			if &got2[0][0] != &got[0][0] {
+				t.Fatal("CorrelateAll did not reuse a large-enough destination")
+			}
+			assertCorrEquiv(t, got2[0], want, 1e-9)
 		})
 	}
 }
 
 func TestCorrelatorDegenerate(t *testing.T) {
 	x := randIQ(rand.New(rand.NewSource(2)), 32)
-	if got := Correlate(x, nil); got != nil {
-		t.Fatalf("Correlate with empty ref: got %v, want nil", got)
+	if lag, peak := NormalizedCorrPeak(x, nil); lag != 0 || peak != 0 {
+		t.Fatalf("NormalizedCorrPeak with empty ref: got (%d, %g), want zero", lag, peak)
 	}
-	if got := Correlate(x[:4], x); got != nil {
-		t.Fatalf("Correlate with short stream: got %v, want nil", got)
+	if lag, peak := NormalizedCorrPeak(x[:4], x); lag != 0 || peak != 0 {
+		t.Fatalf("NormalizedCorrPeak with short stream: got (%d, %g), want zero", lag, peak)
 	}
-	c := NewCorrelator(x)
-	if got := c.Correlate(nil, x[:4]); got != nil {
-		t.Fatalf("Correlator with short stream: got %v, want nil", got)
+	if lag, peak := NormalizedCorrPeak(x, make([]complex128, 8)); lag != 0 || peak != 0 {
+		t.Fatalf("NormalizedCorrPeak with zero-energy ref: got (%d, %g), want zero", lag, peak)
+	}
+	if got := oneRef(x).CorrelateAll(nil, x[:4]); got[0] != nil {
+		t.Fatalf("one-reference bank with short stream: got %v, want nil", got[0])
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("NewCorrelator(empty) did not panic")
+			t.Fatal("NewCorrelatorBank with an empty reference did not panic")
 		}
 	}()
-	NewCorrelator(nil)
+	oneRef(nil)
 }
 
 func TestCorrelatorNormalizedPeak(t *testing.T) {
@@ -119,17 +145,16 @@ func TestCorrelatorNormalizedPeak(t *testing.T) {
 			// Plant the reference at a known offset so the peak is sharp.
 			off := (tc.n - tc.m) / 2
 			copy(x[off:], ref)
-			wantLag, wantPeak := NormalizedCorrPeak(x, ref)
-			if wantLag != off {
-				t.Fatalf("planted reference not found by reference impl: lag %d, want %d", wantLag, off)
+			want := directNormalizedPeak(x, ref)
+			if want.Lag != off {
+				t.Fatalf("planted reference not found by reference impl: lag %d, want %d", want.Lag, off)
 			}
-			c := NewCorrelator(ref)
-			gotLag, gotPeak := c.NormalizedPeak(x)
-			if gotLag != wantLag {
-				t.Fatalf("peak lag: got %d, want %d", gotLag, wantLag)
+			gotLag, gotPeak := NormalizedCorrPeak(x, ref)
+			if gotLag != want.Lag {
+				t.Fatalf("peak lag: got %d, want %d", gotLag, want.Lag)
 			}
-			if math.Abs(gotPeak-wantPeak) > 1e-9 {
-				t.Fatalf("peak value: got %.15g, want %.15g", gotPeak, wantPeak)
+			if math.Abs(gotPeak-want.Peak) > 1e-9 {
+				t.Fatalf("peak value: got %.15g, want %.15g", gotPeak, want.Peak)
 			}
 		})
 	}
@@ -151,12 +176,17 @@ func TestCorrelatorBankMatchesIndependent(t *testing.T) {
 		for r, ref := range refs {
 			want := CrossCorrelate(x, ref)
 			assertCorrEquiv(t, all[r], want, 1e-9)
-			wantLag, wantPeak := NormalizedCorrPeak(x, ref)
-			if peaks[r].Lag != wantLag {
-				t.Fatalf("m=%d root %d: bank lag %d, independent %d", m, r, peaks[r].Lag, wantLag)
+			// Sharing the bank must not change a reference's peak: it
+			// matches a one-reference bank bit for bit.
+			if single := oneRef(ref).NormalizedPeaks(x)[0]; peaks[r] != single {
+				t.Fatalf("m=%d root %d: bank peak %+v, one-reference bank %+v", m, r, peaks[r], single)
 			}
-			if math.Abs(peaks[r].Peak-wantPeak) > 1e-9 {
-				t.Fatalf("m=%d root %d: bank peak %.15g, independent %.15g", m, r, peaks[r].Peak, wantPeak)
+			wantPeak := directNormalizedPeak(x, ref)
+			if peaks[r].Lag != wantPeak.Lag {
+				t.Fatalf("m=%d root %d: bank lag %d, direct %d", m, r, peaks[r].Lag, wantPeak.Lag)
+			}
+			if math.Abs(peaks[r].Peak-wantPeak.Peak) > 1e-9 {
+				t.Fatalf("m=%d root %d: bank peak %.15g, direct %.15g", m, r, peaks[r].Peak, wantPeak.Peak)
 			}
 		}
 		if peaks[1].Lag != 2*m {
@@ -239,17 +269,17 @@ func bytesToIQ(data []byte) []complex128 {
 	return out
 }
 
-// FuzzCorrelatorEquivalence pins the FFT overlap-save path to the direct
-// reference implementation on arbitrary IQ streams and reference lengths:
-// per-lag agreement within 1e-9 of the peak magnitude, and agreement of both
-// the correlation argmax and the normalized peak (lag and value) up to
-// genuine floating-point ties.
+// FuzzCorrelatorEquivalence pins a one-reference CorrelatorBank (FFT
+// overlap-save above the crossover, direct form below it) to CrossCorrelate
+// on arbitrary IQ streams and reference lengths: per-lag agreement within
+// 1e-9 of the peak magnitude, and agreement of both the correlation argmax
+// and the normalized peak (lag and value) up to genuine floating-point ties.
 func FuzzCorrelatorEquivalence(f *testing.F) {
 	rng := rand.New(rand.NewSource(7))
 	long := make([]byte, 2048)
 	rng.Read(long)
 	f.Add(long, 150)       // FFT path, multi-block
-	f.Add(long[:600], 260) // single lag beyond crossover? n=300,m=260: few-lags fallback
+	f.Add(long[:600], 260) // n=300, m=260: few-lags fallback to the direct form
 	f.Add(long[:64], 5)    // direct path
 	f.Add([]byte{1, 2, 3, 4}, 0)
 	f.Fuzz(func(t *testing.T, data []byte, refLen int) {
@@ -263,17 +293,16 @@ func FuzzCorrelatorEquivalence(f *testing.F) {
 		}
 		m = 1 + m%len(x)
 		ref := x[len(x)-m:]
-		want := CrossCorrelate(x, ref)
-		got := NewCorrelator(ref).Correlate(nil, x)
-		assertCorrEquiv(t, got, want, 1e-9)
+		b := oneRef(ref)
+		assertCorrEquiv(t, b.CorrelateAll(nil, x)[0], CrossCorrelate(x, ref), 1e-9)
 
-		wantLag, wantPeak := NormalizedCorrPeak(x, ref)
-		gotLag, gotPeak := NewCorrelator(ref).NormalizedPeak(x)
-		if math.Abs(gotPeak-wantPeak) > 1e-9 {
-			t.Fatalf("normalized peak: got %.15g, want %.15g", gotPeak, wantPeak)
+		want := directNormalizedPeak(x, ref)
+		got := b.NormalizedPeaks(x)[0]
+		if math.Abs(got.Peak-want.Peak) > 1e-9 {
+			t.Fatalf("normalized peak: got %.15g, want %.15g", got.Peak, want.Peak)
 		}
-		if gotLag != wantLag && math.Abs(gotPeak-wantPeak) > 1e-12 {
-			t.Fatalf("normalized peak lag: got %d (%.15g), want %d (%.15g)", gotLag, gotPeak, wantLag, wantPeak)
+		if got.Lag != want.Lag && math.Abs(got.Peak-want.Peak) > 1e-12 {
+			t.Fatalf("normalized peak lag: got %d (%.15g), want %d (%.15g)", got.Lag, got.Peak, want.Lag, want.Peak)
 		}
 	})
 }
@@ -295,9 +324,9 @@ func benchCorrelate(b *testing.B, m int, fft bool) {
 	if fft {
 		// Bypass the crossover policy so both sides of the break-even are
 		// measured with the same destination handling.
-		c := NewCorrelator(ref)
+		bank, dsts := oneRef(ref), [][]complex128{dst}
 		for i := 0; i < b.N; i++ {
-			c.correlateFFT(dst, x)
+			bank.correlateFFT(dsts, x)
 			corrSink = dst
 		}
 		return
@@ -322,8 +351,8 @@ func BenchmarkCorrelateFFT(b *testing.B) {
 	}
 }
 
-// BenchmarkCorrelateBank measures the three-reference batch mode against
-// three independent correlators at the cell-search reference length.
+// BenchmarkCorrelateBank measures the three-reference batch mode (one shared
+// stream transform per block) at a 2048-sample reference length.
 func BenchmarkCorrelateBank(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	x := randIQ(rng, benchStreamLen)

@@ -95,8 +95,8 @@ func MaxAbsIndex(x []complex128) (int, float64) {
 // lag in [0, len(x)-len(ref)]. It is the direct O(N*M) form, kept as the
 // reference implementation the FFT engine in correlate.go is pinned against
 // (and as the production path below the crossover, where it wins on
-// constant factors). Hot callers with long references should use Correlate,
-// a Correlator, or a CorrelatorBank instead.
+// constant factors). Hot callers with long references should hold a
+// CorrelatorBank instead.
 func CrossCorrelate(x, ref []complex128) []complex128 {
 	if len(ref) == 0 || len(x) < len(ref) {
 		return nil
@@ -115,25 +115,15 @@ func CrossCorrelate(x, ref []complex128) []complex128 {
 
 // NormalizedCorrPeak returns the lag and the normalized correlation magnitude
 // (0..1) of the best match of ref inside x. The normalization divides by the
-// local segment energy so amplitude does not bias detection. Correlation runs
-// through the adaptive engine (FFT overlap-save above the crossover); callers
-// that reuse one reference across streams should hold a Correlator and call
-// its NormalizedPeak to skip the per-call reference-spectrum setup.
+// local segment energy so amplitude does not bias detection. It builds a
+// one-reference CorrelatorBank per call; callers that reuse one reference
+// across streams should hold the bank and call its NormalizedPeaks.
 func NormalizedCorrPeak(x, ref []complex128) (lag int, peak float64) {
-	refE := Energy(ref)
-	if refE == 0 || len(ref) == 0 || len(x) < len(ref) {
+	if len(ref) == 0 {
 		return 0, 0
 	}
-	nOut := len(x) - len(ref) + 1
-	corrBuf := AcquireBuf(nOut)
-	defer ReleaseBuf(corrBuf)
-	corr := *corrBuf
-	if useDirect(len(x), len(ref)) {
-		directCorrelate(corr, x, ref)
-	} else {
-		NewCorrelator(ref).Correlate(corr, x)
-	}
-	return peakOverLags(x, corr, len(ref), refE)
+	p := NewCorrelatorBank([][]complex128{ref}).NormalizedPeaks(x)[0]
+	return p.Lag, p.Peak
 }
 
 // Conj conjugates x in place and returns it.
@@ -142,13 +132,4 @@ func Conj(x []complex128) []complex128 {
 		x[i] = complex(real(v), -imag(v))
 	}
 	return x
-}
-
-// Magnitudes returns |x[i]| for every sample in a fresh slice.
-func Magnitudes(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplx.Abs(v)
-	}
-	return out
 }

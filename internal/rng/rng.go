@@ -83,10 +83,6 @@ func (r *Source) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a uniform non-negative int64. It exists so a Source can stand
-// in where a math/rand-style source is expected.
-func (r *Source) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // NormFloat64 returns a standard normal variate (Box-Muller, cached pair).
 func (r *Source) NormFloat64() float64 {
 	if r.hasGauss {

@@ -586,14 +586,15 @@ func (m *Manager) runFlight(fl *flight) {
 	switch {
 	case err == nil:
 		// Store before retiring the flight: a Submit that misses the
-		// in-flight table afterwards must hit the store.
+		// in-flight table afterwards must hit the store. Count before
+		// finishing, so a waiter woken by its job sees the counter.
 		m.store.Put(fl.key, body)
-		for _, j := range m.finishFlight(fl) {
-			j.finish(Done, body, "")
-		}
 		m.mu.Lock()
 		m.counters.Computed++
 		m.mu.Unlock()
+		for _, j := range m.finishFlight(fl) {
+			j.finish(Done, body, "")
+		}
 	case errors.Is(err, context.Canceled):
 		for _, j := range m.finishFlight(fl) {
 			if j.finish(Canceled, nil, "canceled") {
@@ -601,12 +602,12 @@ func (m *Manager) runFlight(fl *flight) {
 			}
 		}
 	default:
-		for _, j := range m.finishFlight(fl) {
-			j.finish(Failed, nil, err.Error())
-		}
 		m.mu.Lock()
 		m.counters.Failed++
 		m.mu.Unlock()
+		for _, j := range m.finishFlight(fl) {
+			j.finish(Failed, nil, err.Error())
+		}
 	}
 }
 

@@ -98,8 +98,8 @@ type CFOTracker struct {
 }
 
 // NewCFOTracker builds a tracker starting from an initial estimate of
-// initialHz (e.g. a one-shot EstimateCFO during cell search; 0 when the
-// search assumes a perfect oscillator).
+// initialHz (e.g. a one-shot EstimateCFO on a first capture; 0 when the
+// receiver assumes a perfect oscillator).
 func NewCFOTracker(p ltephy.Params, initialHz float64, cfg CFOTrackerConfig) *CFOTracker {
 	return &CFOTracker{p: p, cfg: cfg.withDefaults(), est: initialHz}
 }

@@ -1,10 +1,11 @@
-// Package ue implements the receiver side of LScatter: PSS-based timing
-// acquisition, direct-path LTE reception (CRS channel estimation, per-RE
-// equalization, transport-block decoding), regeneration of the clean
-// excitation waveform, and the backscatter demodulator of §3.3 — extraction
-// of the frequency-shifted hybrid band, preamble-based modulation-offset
-// search and backscatter-channel estimation, and parallel per-unit phase
-// demodulation against the regenerated reference.
+// Package ue implements the receiver side of LScatter for a UE that is given
+// its cell identity and frame timing: CP-based CFO estimation and tracking,
+// direct-path LTE reception (CRS channel estimation, per-RE equalization,
+// transport-block decoding), regeneration of the clean excitation waveform,
+// and the backscatter demodulator of §3.3 — extraction of the
+// frequency-shifted hybrid band, preamble-based modulation-offset search and
+// backscatter-channel estimation, and parallel per-unit phase demodulation
+// against the regenerated reference.
 package ue
 
 import (
