@@ -176,7 +176,6 @@ func main() {
 				Inner:  ex,
 				Store:  st,
 				Resume: *resume,
-				Key:    experiments.ArtifactKey,
 			}
 			ex = ckpt
 		}

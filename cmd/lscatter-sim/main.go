@@ -20,14 +20,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"sync"
 
 	"lscatter/internal/channel"
 	"lscatter/internal/core"
+	"lscatter/internal/exec"
 	"lscatter/internal/experiments"
 	"lscatter/internal/impair"
 	"lscatter/internal/ltephy"
@@ -36,29 +36,11 @@ import (
 // sweepPoints evaluates one core.Run per distance on a pool of workers and
 // returns the reports in point order.
 func sweepPoints(cfgs []core.LinkConfig, workers int) []core.LinkReport {
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
 	reports := make([]core.LinkReport, len(cfgs))
-	jobs := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				reports[i] = core.Run(cfgs[i])
-			}
-		}()
-	}
-	for i := range cfgs {
-		jobs <- i
-	}
-	close(jobs)
-	wg.Wait()
+	_ = exec.Each(context.Background(), len(cfgs), workers, func(_ context.Context, i int) error {
+		reports[i] = core.Run(cfgs[i])
+		return nil
+	})
 	return reports
 }
 

@@ -60,7 +60,6 @@ func main() {
 			Inner:  ex,
 			Store:  st,
 			Resume: true,
-			Key:    experiments.ArtifactKey,
 		}
 	}
 

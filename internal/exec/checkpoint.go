@@ -10,9 +10,9 @@ import (
 )
 
 // Checkpointed wraps any executor with a durable content-addressed store:
-// every computed artifact is recorded under the job's store key, and — when
-// Resume is set — a job whose artifact is already in the store is answered
-// from it without recompute. A sweep killed after K of N artifacts and
+// every computed artifact is recorded under the job's store key (jobKey),
+// and — when Resume is set — a job whose artifact is already in the store is
+// answered from it without recompute. A sweep killed after K of N artifacts and
 // restarted over the same directory therefore recomputes exactly N−K.
 //
 // Correctness rests on the determinism contract: the stored bytes for a key
@@ -31,32 +31,24 @@ type Checkpointed struct {
 	// records checkpoints — the cold-sweep mode, which never serves stale
 	// state no matter what the directory holds.
 	Resume bool
-	// Key maps a job to its store key; nil selects DefaultKey.
-	Key func(Job) store.Key
 
 	computed, restored atomic.Uint64
 }
 
-// DefaultKey derives a store key from the job alone: a SHA-256 of the job
-// ID (namespaced so generic exec keys cannot collide with serve's
-// spec-hash keys) plus the seed verbatim.
-func DefaultKey(job Job) store.Key {
-	sum := sha256.Sum256([]byte("lscatter-exec:" + job.ID))
+// jobKey is the store key of a job's artifact: a SHA-256 of the
+// namespaced job ID plus the seed verbatim. The namespace is the one every
+// -artifact-dir and worker directory has been written with, so existing
+// directories keep their file names.
+func jobKey(job Job) store.Key {
+	sum := sha256.Sum256([]byte("lscatter-bench-artifact:" + job.ID))
 	return store.Key{SpecHash: hex.EncodeToString(sum[:]), Seed: job.Seed}
-}
-
-func (c *Checkpointed) key(job Job) store.Key {
-	if c.Key != nil {
-		return c.Key(job)
-	}
-	return DefaultKey(job)
 }
 
 // Submit answers from the store when resuming, otherwise computes through
 // the inner executor and checkpoints the result. A failed computation is
 // never checkpointed.
 func (c *Checkpointed) Submit(ctx context.Context, job Job) ([]byte, error) {
-	k := c.key(job)
+	k := jobKey(job)
 	if c.Resume {
 		if body, ok := c.Store.Get(k); ok {
 			c.restored.Add(1)

@@ -1,8 +1,7 @@
-// Package exec is the shared execution layer under every artifact-producing
-// surface of the repository: lscatter-bench sweeps, the lscatter-served job
-// manager and the lscatter-worker shards all submit jobs through one
-// Executor interface and persist results through one content-addressed
-// store (internal/store).
+// Package exec is the shared execution layer under the paper-artifact
+// sweeps: lscatter-bench and the lscatter-worker shards submit jobs through
+// one Executor interface and persist results through the content-addressed
+// store (internal/store) that lscatter-served also writes directly.
 //
 // An Executor turns a Job — a stable identifier plus a seed — into artifact
 // bytes. Three implementations compose:
@@ -18,12 +17,12 @@
 //     a disjoint subset, with re-dispatch to the surviving workers when one
 //     dies mid-sweep.
 //
-// The fan-out helper All runs a batch of jobs on a bounded worker pool and
-// returns artifacts in job order. Determinism is the package's contract:
-// jobs carry their own seeds, RunFuncs are pure in (job, seed), and no
-// executor or pool shape may change a single output byte — which is exactly
-// the property that makes artifacts safe to checkpoint, share and shard.
-// See docs/DISTRIBUTED.md.
+// Each is the index-ordered bounded worker pool; All builds on it to run a
+// batch of jobs and return artifacts in job order. Determinism is the
+// package's contract: jobs carry their own seeds, RunFuncs are pure in
+// (job, seed), and no executor or pool shape may change a single output
+// byte — which is exactly the property that makes artifacts safe to
+// checkpoint, share and shard. See docs/DISTRIBUTED.md.
 package exec
 
 import (
@@ -83,56 +82,47 @@ func Worker(ctx context.Context) int {
 	return 0
 }
 
-// All submits every job through the executor on a pool of workers and
-// returns the artifacts in job order. workers <= 0 selects NumCPU; the pool
-// is never larger than the batch. Determinism is unconditional: each job
-// carries its own seed and executors share no mutable state that reaches
-// the output, so the returned bytes are identical at any worker count.
-//
-// If ctx is cancelled, All stops dispatching, waits for in-flight jobs and
-// returns the partial results (unrun jobs are nil) alongside ctx.Err(). If
-// a Submit fails, All stops dispatching and returns the partial results
-// with the first error; that job's slot is nil.
-func All(ctx context.Context, ex Executor, jobs []Job, workers int) ([][]byte, error) {
+// Each calls fn(ctx, i) for every i in [0, n) on a pool of workers,
+// dispatching in index order. workers <= 0 selects NumCPU; the pool is
+// never larger than n. Each call's ctx is tagged with its pool slot
+// (WithWorker). Each stops dispatching on the first error or when ctx is
+// cancelled, waits for the calls already running, and returns that first
+// error, else ctx.Err(). It is the one index-ordered pool under All, the
+// deployment runner and the link-sweep CLI.
+func Each(ctx context.Context, n, workers int, fn func(ctx context.Context, i int) error) error {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > n {
+		workers = n
 	}
 
-	results := make([][]byte, len(jobs))
 	feedCh := make(chan int)
 	stop := make(chan struct{})
-	var stopOnce sync.Once
-	var mu sync.Mutex
-	var firstErr error
-
-	var wg sync.WaitGroup
+	var (
+		stopOnce sync.Once
+		firstErr error
+		wg       sync.WaitGroup
+	)
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(worker int) {
+		go func(wctx context.Context) {
 			defer wg.Done()
-			for idx := range feedCh {
-				out, err := ex.Submit(WithWorker(ctx, worker), jobs[idx])
-				if err != nil {
-					mu.Lock()
-					if firstErr == nil {
+			for i := range feedCh {
+				if err := fn(wctx, i); err != nil {
+					stopOnce.Do(func() {
 						firstErr = err
-					}
-					mu.Unlock()
-					stopOnce.Do(func() { close(stop) })
-					continue
+						close(stop)
+					})
 				}
-				results[idx] = out
 			}
-		}(w)
+		}(WithWorker(ctx, w))
 	}
 
 feed:
-	for idx := range jobs {
+	for i := 0; i < n; i++ {
 		select {
-		case feedCh <- idx:
+		case feedCh <- i:
 		case <-ctx.Done():
 			break feed
 		case <-stop:
@@ -142,7 +132,30 @@ feed:
 	close(feedCh)
 	wg.Wait()
 	if firstErr != nil {
-		return results, firstErr
+		return firstErr
 	}
-	return results, ctx.Err()
+	return ctx.Err()
+}
+
+// All submits every job through the executor on an Each pool and returns
+// the artifacts in job order. workers <= 0 selects NumCPU. Determinism is
+// unconditional: each job carries its own seed and executors share no
+// mutable state that reaches the output, so the returned bytes are
+// identical at any worker count.
+//
+// If ctx is cancelled, All stops dispatching, waits for in-flight jobs and
+// returns the partial results (unrun jobs are nil) alongside ctx.Err(). If
+// a Submit fails, All stops dispatching and returns the partial results
+// with the first error; that job's slot is nil.
+func All(ctx context.Context, ex Executor, jobs []Job, workers int) ([][]byte, error) {
+	results := make([][]byte, len(jobs))
+	err := Each(ctx, len(jobs), workers, func(ctx context.Context, i int) error {
+		out, err := ex.Submit(ctx, jobs[i])
+		if err != nil {
+			return err
+		}
+		results[i] = out
+		return nil
+	})
+	return results, err
 }

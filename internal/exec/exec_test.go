@@ -163,20 +163,13 @@ func TestCheckpointedColdIgnoresStore(t *testing.T) {
 	}
 }
 
-func TestDefaultKeyIsStoreSafe(t *testing.T) {
-	k := DefaultKey(Job{ID: "F4c", Seed: 7})
-	if len(k.SpecHash) != 64 {
-		t.Fatalf("hash length %d, want 64", len(k.SpecHash))
-	}
-	for _, c := range k.SpecHash {
-		if !(c >= '0' && c <= '9' || c >= 'a' && c <= 'f') {
-			t.Fatalf("non-hex key %q", k.SpecHash)
-		}
-	}
-	if k != DefaultKey(Job{ID: "F4c", Seed: 7}) {
-		t.Fatal("key not stable")
-	}
-	if k == DefaultKey(Job{ID: "F4d", Seed: 7}) {
-		t.Fatal("distinct IDs collide")
+// TestCheckpointKeyPinned pins the checkpoint file name of one registry
+// artifact: directories written by earlier lscatter-bench -artifact-dir
+// sweeps and lscatter-worker shards must keep resolving to the same files.
+func TestCheckpointKeyPinned(t *testing.T) {
+	got := store.FileName(jobKey(Job{ID: "F23", Seed: 17418895425283931111}))
+	const want = "f5ee51394b2784911b98a19a407373e5ce879c29047b951c28e54107b43a8bc0-f1bc59199bb9bbe7.art"
+	if got != want {
+		t.Fatalf("checkpoint file name %s, want %s", got, want)
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"lscatter/internal/channel"
 	"lscatter/internal/core"
+	"lscatter/internal/exec"
 	"lscatter/internal/ltephy"
 	"lscatter/internal/stats"
 	"lscatter/internal/traffic"
@@ -158,48 +159,27 @@ func RunDeployment(ctx context.Context, cfg DeploymentConfig, workers int, progr
 	if workers <= 0 {
 		workers = 1
 	}
-	if workers > cfg.Tags {
-		workers = cfg.Tags
-	}
 
 	// One occupancy sample per run: the fleet shares one ambient carrier.
 	occ := traffic.NewModel(cfg.Traffic, cfg.Venue, DeriveSeed(cfg.Seed, "deploy-occupancy"))
 	frac := occ.Sample(cfg.Hour)
 
 	reports := make([]TagReport, cfg.Tags)
-	jobs := make(chan int)
 	var (
-		wg   sync.WaitGroup
 		mu   sync.Mutex
 		done int
 	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range jobs {
-				reports[i] = cfg.runTag(i, frac)
-				mu.Lock()
-				done++
-				if progress != nil {
-					progress(done, cfg.Tags, reports[i])
-				}
-				mu.Unlock()
-			}
-		}()
-	}
-
-feed:
-	for i := 0; i < cfg.Tags; i++ {
-		select {
-		case jobs <- i:
-		case <-ctx.Done():
-			break feed
+	err := exec.Each(ctx, cfg.Tags, workers, func(_ context.Context, i int) error {
+		reports[i] = cfg.runTag(i, frac)
+		mu.Lock()
+		done++
+		if progress != nil {
+			progress(done, cfg.Tags, reports[i])
 		}
-	}
-	close(jobs)
-	wg.Wait()
-	if err := ctx.Err(); err != nil {
+		mu.Unlock()
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 

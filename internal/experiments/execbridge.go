@@ -2,13 +2,10 @@ package experiments
 
 import (
 	"context"
-	"crypto/sha256"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 
 	"lscatter/internal/exec"
-	"lscatter/internal/store"
 )
 
 // This file is the bridge between the experiment registry and the shared
@@ -61,15 +58,6 @@ func ExecRunner() exec.RunFunc {
 		res := runInstrumented(job.ID, r, job.Seed, exec.Worker(ctx))
 		return EncodeResult(res)
 	}
-}
-
-// ArtifactKey maps a registry job to its content-addressed store key: a
-// namespaced SHA-256 of the artifact ID plus the derived seed. Workers and
-// resumed sweeps sharing one artifact directory agree on keys by
-// construction, with no coordination.
-func ArtifactKey(job exec.Job) store.Key {
-	sum := sha256.Sum256([]byte("lscatter-bench-artifact:" + job.ID))
-	return store.Key{SpecHash: hex.EncodeToString(sum[:]), Seed: job.Seed}
 }
 
 // RunAllOn regenerates every registered artifact through an arbitrary

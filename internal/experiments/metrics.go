@@ -42,15 +42,6 @@ type RunMetrics struct {
 	Rows int `json:"rows"`
 }
 
-// CacheHitRate returns the artifact's waveform-cache hit rate in [0, 1].
-func (m *RunMetrics) CacheHitRate() float64 {
-	total := m.CacheHits + m.CacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(m.CacheHits) / float64(total)
-}
-
 // runInstrumented executes one runner and attaches RunMetrics to its Result.
 func runInstrumented(id string, run Runner, seed uint64, worker int) *Result {
 	var msBefore runtime.MemStats

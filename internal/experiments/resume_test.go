@@ -24,7 +24,7 @@ func TestRunAllOnCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	cold := &exec.Checkpointed{Inner: &exec.Local{Run: ExecRunner()}, Store: st, Key: ArtifactKey}
+	cold := &exec.Checkpointed{Inner: &exec.Local{Run: ExecRunner()}, Store: st}
 	first, err := RunAllOn(context.Background(), cold, seed, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestRunAllOnCheckpointResume(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resumed := &exec.Checkpointed{Inner: &exec.Local{Run: ExecRunner()}, Store: st2, Resume: true, Key: ArtifactKey}
+	resumed := &exec.Checkpointed{Inner: &exec.Local{Run: ExecRunner()}, Store: st2, Resume: true}
 	second, err := RunAllOn(context.Background(), resumed, seed, 4)
 	if err != nil {
 		t.Fatal(err)

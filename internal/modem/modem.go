@@ -7,7 +7,6 @@ package modem
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 )
 
 // Scheme identifies a constellation.
@@ -259,6 +258,3 @@ func SNRFromEVM(evm float64) float64 {
 	}
 	return 1 / (evm * evm)
 }
-
-// PhaseOf returns the principal argument of a symbol in radians.
-func PhaseOf(sym complex128) float64 { return cmplx.Phase(sym) }

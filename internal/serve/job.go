@@ -6,9 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"sort"
 	"sync"
 
-	"lscatter/internal/exec"
 	"lscatter/internal/experiments"
 	"lscatter/internal/store"
 )
@@ -42,6 +42,7 @@ type Job struct {
 	mu sync.Mutex
 
 	id        string
+	seq       uint64 // submission order, for listing
 	key       Key
 	state     State
 	cacheHit  bool
@@ -233,10 +234,15 @@ type Options struct {
 	// DiskMaxBytes bounds the on-disk store (default 256 MiB). Ignored
 	// without ArtifactDir.
 	DiskMaxBytes int64
-	// Logf receives operational log lines (quarantined artifacts, stale
-	// index entries, disk write failures). Defaults to log.Printf.
+	// Logf receives operational log lines (quarantined artifacts, disk
+	// write failures). Defaults to log.Printf.
 	Logf func(format string, args ...any)
 }
+
+// maxFinishedJobs bounds how many finished jobs the manager keeps
+// fetchable; beyond it the oldest finished jobs are dropped from the job
+// table. Queued and running jobs are never dropped.
+const maxFinishedJobs = 1024
 
 // Manager owns the job queue, the worker pool and the artifact stores. It is
 // the service's only stateful component; handlers are a thin HTTP skin over
@@ -245,16 +251,10 @@ type Manager struct {
 	opts  Options
 	store *store.Memory
 	disk  *store.DiskStore // nil when no ArtifactDir is configured
-	// executor is the shared compute-and-persist stack (internal/exec): a
-	// Local executor bottoming out in RunDeployment, wrapped — when a
-	// durable store is configured — in a Checkpointed executor that records
-	// finished bodies and restores artifacts a sibling process sharing the
-	// directory computed first.
-	executor exec.Executor
 
 	mu       sync.Mutex
 	jobs     map[string]*Job
-	order    []string // submission order, for listing
+	finished []*Job // terminal jobs still in jobs, oldest first
 	inflight map[Key]*flight
 	nextID   uint64
 	counters Counters
@@ -293,22 +293,6 @@ func NewManager(opts Options) (*Manager, error) {
 		}
 		m.disk = disk
 	}
-	local := &exec.Local{Run: m.runJob}
-	if m.disk != nil {
-		// The job ID is the spec hash, so the checkpoint key reproduces the
-		// exact artifact file names the serve layer has always written —
-		// directories persisted by earlier versions resume seamlessly.
-		m.executor = &exec.Checkpointed{
-			Inner:  local,
-			Store:  m.disk,
-			Resume: true,
-			Key: func(j exec.Job) store.Key {
-				return store.Key{SpecHash: j.ID, Seed: j.Seed}
-			},
-		}
-	} else {
-		m.executor = local
-	}
 	for i := 0; i < opts.Workers; i++ {
 		m.wg.Add(1)
 		go m.worker()
@@ -333,6 +317,7 @@ func (m *Manager) Counters() Counters {
 func (m *Manager) newJobLocked(key Key, total int) *Job {
 	return &Job{
 		id:       fmt.Sprintf("run-%06d", m.nextID+1),
+		seq:      m.nextID + 1,
 		key:      key,
 		state:    Queued,
 		total:    total,
@@ -344,8 +329,34 @@ func (m *Manager) newJobLocked(key Key, total int) *Job {
 func (m *Manager) registerLocked(job *Job) {
 	m.nextID++
 	m.jobs[job.id] = job
-	m.order = append(m.order, job.id)
 	m.counters.Submitted++
+}
+
+// retireLocked records a job that reached (or is about to reach) a terminal
+// state, dropping the oldest finished jobs beyond maxFinishedJobs from the
+// job table. A dropped job stays valid for anyone holding it; it is only no
+// longer fetchable by ID.
+func (m *Manager) retireLocked(job *Job) {
+	m.finished = append(m.finished, job)
+	for len(m.finished) > maxFinishedJobs {
+		delete(m.jobs, m.finished[0].id)
+		m.finished[0] = nil
+		m.finished = m.finished[1:]
+	}
+}
+
+// finishJob moves a job to a terminal state and, when this call made the
+// transition, counts a cancellation and retires the job.
+func (m *Manager) finishJob(j *Job, state State, body []byte, errMsg string) {
+	if !j.finish(state, body, errMsg) {
+		return
+	}
+	m.mu.Lock()
+	if state == Canceled {
+		m.counters.Canceled++
+	}
+	m.retireLocked(j)
+	m.mu.Unlock()
 }
 
 // Submit validates nothing — the caller passes a normalized spec — and
@@ -376,6 +387,7 @@ func (m *Manager) Submit(normalized *Spec) (*Job, error) {
 
 		if body, ok := m.store.Get(key); ok {
 			m.registerLocked(job)
+			m.retireLocked(job)
 			m.counters.CacheHits++
 			m.mu.Unlock()
 			job.bornDone(body)
@@ -409,6 +421,7 @@ func (m *Manager) Submit(normalized *Spec) (*Job, error) {
 				m.store.Put(key, body)
 				job := m.newJobLocked(key, normalized.Tags)
 				m.registerLocked(job)
+				m.retireLocked(job)
 				m.counters.DiskHits++
 				m.mu.Unlock()
 				job.bornDone(body)
@@ -443,15 +456,15 @@ func (m *Manager) Get(id string) (*Job, bool) {
 	return j, ok
 }
 
-// Jobs lists job statuses in submission order.
+// Jobs lists the statuses of the jobs in the job table in submission order.
 func (m *Manager) Jobs() []JobStatus {
 	m.mu.Lock()
-	ids := append([]string(nil), m.order...)
-	jobs := make([]*Job, 0, len(ids))
-	for _, id := range ids {
-		jobs = append(jobs, m.jobs[id])
+	jobs := make([]*Job, 0, len(m.jobs))
+	for _, j := range m.jobs {
+		jobs = append(jobs, j)
 	}
 	m.mu.Unlock()
+	sort.Slice(jobs, func(a, b int) bool { return jobs[a].seq < jobs[b].seq })
 	out := make([]JobStatus, len(jobs))
 	for i, j := range jobs {
 		out[i] = j.Status()
@@ -476,6 +489,7 @@ func (m *Manager) Cancel(id string) bool {
 	}
 	m.mu.Lock()
 	m.counters.Canceled++
+	m.retireLocked(j)
 	var cancelFn context.CancelFunc
 	if fl := j.fl; fl != nil && !fl.done {
 		fl.waiters--
@@ -553,8 +567,9 @@ func (m *Manager) finishFlight(fl *flight) []*Job {
 	return append([]*Job(nil), fl.jobs...)
 }
 
-// runFlight executes one deployment and completes every attached job with
-// the same stored body.
+// runFlight executes one deployment, with progress fanned out to every
+// attached job, writes the body through to the durable store when one is
+// configured, and completes every attached job with the same stored body.
 func (m *Manager) runFlight(fl *flight) {
 	m.mu.Lock()
 	if fl.canceled || fl.ctx.Err() != nil {
@@ -562,9 +577,7 @@ func (m *Manager) runFlight(fl *flight) {
 		// per-job accounting already happened in Cancel.
 		m.mu.Unlock()
 		for _, j := range m.finishFlight(fl) {
-			if j.finish(Canceled, nil, "canceled before start") {
-				m.countCancel()
-			}
+			m.finishJob(j, Canceled, nil, "canceled before start")
 		}
 		return
 	}
@@ -577,52 +590,6 @@ func (m *Manager) runFlight(fl *flight) {
 		j.setRunning()
 	}
 
-	// The compute-and-persist step is the shared executor stack: exec.Local
-	// bottoms out in runJob below, and when a durable store is configured
-	// exec.Checkpointed records the body (and restores one a sibling process
-	// sharing the directory finished first). The flight rides the context so
-	// the generic Job — an (ID, Seed) pair — stays serializable.
-	body, err := m.executor.Submit(context.WithValue(ctx, flightCtxKey{}, fl), exec.Job{ID: fl.key.SpecHash, Seed: fl.key.Seed})
-	switch {
-	case err == nil:
-		// Store before retiring the flight: a Submit that misses the
-		// in-flight table afterwards must hit the store. Count before
-		// finishing, so a waiter woken by its job sees the counter.
-		m.store.Put(fl.key, body)
-		m.mu.Lock()
-		m.counters.Computed++
-		m.mu.Unlock()
-		for _, j := range m.finishFlight(fl) {
-			j.finish(Done, body, "")
-		}
-	case errors.Is(err, context.Canceled):
-		for _, j := range m.finishFlight(fl) {
-			if j.finish(Canceled, nil, "canceled") {
-				m.countCancel()
-			}
-		}
-	default:
-		m.mu.Lock()
-		m.counters.Failed++
-		m.mu.Unlock()
-		for _, j := range m.finishFlight(fl) {
-			j.finish(Failed, nil, err.Error())
-		}
-	}
-}
-
-// flightCtxKey carries the flight through the executor stack into runJob.
-type flightCtxKey struct{}
-
-// runJob is the exec.RunFunc the manager's Local executor bottoms out in: it
-// recovers the flight from the context, runs the deployment with progress
-// fanned out to every attached job, and returns the canonical result body —
-// the bytes the stores persist and every coalesced client receives.
-func (m *Manager) runJob(ctx context.Context, job exec.Job) ([]byte, error) {
-	fl, ok := ctx.Value(flightCtxKey{}).(*flight)
-	if !ok {
-		return nil, errors.New("serve: job submitted without a flight")
-	}
 	progress := func(done, total int, tag experiments.TagReport) {
 		m.mu.Lock()
 		attached := append([]*Job(nil), fl.jobs...)
@@ -632,16 +599,36 @@ func (m *Manager) runJob(ctx context.Context, job exec.Job) ([]byte, error) {
 		}
 	}
 	res, err := experiments.RunDeployment(ctx, fl.spec.Deployment(), m.opts.JobWorkers, progress)
-	if err != nil {
-		return nil, err
+	switch {
+	case err == nil:
+		// The canonical result body: the bytes the stores persist and every
+		// coalesced client receives. Store before retiring the flight: a
+		// Submit that misses the in-flight table afterwards must hit the
+		// store. Count before finishing, so a waiter woken by its job sees
+		// the counter.
+		body := buildResultBody(fl.key, fl.spec, res)
+		if m.disk != nil {
+			m.disk.Put(fl.key, body)
+		}
+		m.store.Put(fl.key, body)
+		m.mu.Lock()
+		m.counters.Computed++
+		m.mu.Unlock()
+		for _, j := range m.finishFlight(fl) {
+			m.finishJob(j, Done, body, "")
+		}
+	case errors.Is(err, context.Canceled):
+		for _, j := range m.finishFlight(fl) {
+			m.finishJob(j, Canceled, nil, "canceled")
+		}
+	default:
+		m.mu.Lock()
+		m.counters.Failed++
+		m.mu.Unlock()
+		for _, j := range m.finishFlight(fl) {
+			m.finishJob(j, Failed, nil, err.Error())
+		}
 	}
-	return buildResultBody(fl.key, fl.spec, res), nil
-}
-
-func (m *Manager) countCancel() {
-	m.mu.Lock()
-	m.counters.Canceled++
-	m.mu.Unlock()
 }
 
 // Key addresses one artifact: the content hash of the normalized spec plus

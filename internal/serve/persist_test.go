@@ -80,6 +80,31 @@ func TestManagerRestartWarmCache(t *testing.T) {
 	}
 }
 
+// TestManagerComputedFlightProbesDiskOnce pins the write path's disk
+// traffic: a computed flight is one probe in Submit (the miss) and one
+// write-through after the run (the put) — the worker never re-probes.
+func TestManagerComputedFlightProbesDiskOnce(t *testing.T) {
+	m := newManager(t, Options{Workers: 1, ArtifactDir: t.TempDir()})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		if err := m.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	j, err := m.Submit(normalized(t, 4, 99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-j.Finished()
+	if st := j.Status(); st.State != Done {
+		t.Fatalf("flight ended %s: %s", st.State, st.Error)
+	}
+	if ds := m.Disk().Stats(); ds.Misses != 1 || ds.Puts != 1 {
+		t.Fatalf("one computed flight: %+v, want 1 miss and 1 put", ds)
+	}
+}
+
 // TestManagerRecomputesAfterCorruption covers the serving-level half of the
 // corruption story: a damaged artifact is quarantined and the submission
 // falls through to a fresh, correct computation.

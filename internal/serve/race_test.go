@@ -249,3 +249,43 @@ func TestManagerQueueFull(t *testing.T) {
 		t.Fatalf("queue depth 1 accepted all %d jobs", accepted)
 	}
 }
+
+// TestManagerJobTableBounded pins that a long-lived manager forgets the
+// oldest finished jobs: beyond maxFinishedJobs cache-hit submissions the
+// table stops growing, the newest job stays fetchable and the first one is
+// gone.
+func TestManagerJobTableBounded(t *testing.T) {
+	m := newManager(t, Options{Workers: 1})
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := m.Shutdown(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	spec := normalized(t, 2, 5)
+	first, err := m.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-first.Finished()
+	var last *Job
+	for i := 0; i < maxFinishedJobs+10; i++ {
+		if last, err = m.Submit(spec); err != nil {
+			t.Fatal(err)
+		}
+		<-last.Finished()
+	}
+	if got := m.Counters().CacheHits; got != maxFinishedJobs+10 {
+		t.Fatalf("cache hits %d, want %d", got, maxFinishedJobs+10)
+	}
+	if n := len(m.Jobs()); n != maxFinishedJobs {
+		t.Fatalf("job table holds %d jobs, want %d", n, maxFinishedJobs)
+	}
+	if j, ok := m.Get(last.Status().ID); !ok || j != last {
+		t.Fatal("newest job not fetchable")
+	}
+	if _, ok := m.Get(first.Status().ID); ok {
+		t.Fatal("oldest finished job still in the table")
+	}
+}

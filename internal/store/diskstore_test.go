@@ -2,7 +2,6 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -13,8 +12,8 @@ import (
 
 // The tests in this file pin the durable artifact store's crash/corruption
 // story: artifacts survive process boundaries byte-identically, and
-// truncated, bit-flipped, zero-length or stale-indexed files are quarantined
-// and recomputed — never served. The multi-store tests pin the sharing
+// truncated, bit-flipped or zero-length files are quarantined and
+// recomputed — never served. The multi-store tests pin the sharing
 // story: a store adopts artifacts a sibling wrote into the same directory.
 
 func testKey(seed uint64) Key {
@@ -230,66 +229,37 @@ func TestDiskStoreCorruptionRecovery(t *testing.T) {
 	}
 }
 
-func TestDiskStoreStaleIndexEntry(t *testing.T) {
+// TestDiskStoreRecencySurvivesReopen pins that LRU recency lives in the
+// artifact files themselves: an artifact read after a newer one was written
+// outranks it once the store is reopened, so a budget that holds only one
+// of them evicts the unread newer one. The older artifact has the larger
+// file name, so a modification-time tie would favour the other one — only
+// the hit's mtime refresh keeps it.
+func TestDiskStoreRecencySurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
-	d1 := openDisk(t, dir)
-	d1.Put(testKey(1), []byte("one\n"))
+	body := bytes.Repeat([]byte("r"), 512)
+	older, newer := testKey(2), testKey(1)
 
-	// Corrupt the index by hand: add an entry for a file that does not
-	// exist, mimicking a crash between index write and artifact loss.
-	raw, err := os.ReadFile(filepath.Join(dir, indexFileName))
+	d1 := openDisk(t, dir)
+	d1.Put(older, body)
+	d1.Put(newer, body)
+	if _, ok := d1.Get(older); !ok {
+		t.Fatal("fresh artifact missing")
+	}
+
+	one := int64(len(encodeArtifact(older, body)))
+	d2, err := Open(dir, one, t.Logf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var idx indexDoc
-	if err := json.Unmarshal(raw, &idx); err != nil {
-		t.Fatal(err)
+	if st := d2.Stats(); st.Entries != 1 || st.Evictions != 1 {
+		t.Fatalf("reopen under a one-artifact budget: %+v", st)
 	}
-	idx.Entries = append(idx.Entries, indexEntry{
-		SpecHash: "feedfacefeedface",
-		Seed:     99,
-		File:     "feedfacefeedface-0000000000000063.art",
-		Size:     1234,
-	})
-	out, _ := json.Marshal(&idx)
-	if err := os.WriteFile(filepath.Join(dir, indexFileName), out, 0o644); err != nil {
-		t.Fatal(err)
+	if got, ok := d2.Get(older); !ok || !bytes.Equal(got, body) {
+		t.Fatal("the recently read artifact was evicted on reopen")
 	}
-
-	var logged []string
-	d2, err := Open(dir, 0, func(format string, args ...any) {
-		logged = append(logged, format)
-	})
-	if err != nil {
-		t.Fatalf("server must start over a stale index: %v", err)
-	}
-	st := d2.Stats()
-	if st.StaleIndex != 1 {
-		t.Fatalf("stale dropped %d, want 1: %+v", st.StaleIndex, st)
-	}
-	if len(logged) != 1 {
-		t.Fatalf("logged %d lines, want exactly 1: %v", len(logged), logged)
-	}
-	// The real artifact survives the stale neighbor.
-	if got, ok := d2.Get(testKey(1)); !ok || !bytes.Equal(got, []byte("one\n")) {
-		t.Fatalf("live artifact lost: %q, %v", got, ok)
-	}
-	// Missing key recomputes on demand (a miss, not an error).
-	if _, ok := d2.Get(Key{SpecHash: "feedfacefeedface", Seed: 99}); ok {
-		t.Fatal("stale index entry served a body")
-	}
-}
-
-func TestDiskStoreUnreadableIndexFallsBackToScan(t *testing.T) {
-	dir := t.TempDir()
-	d1 := openDisk(t, dir)
-	d1.Put(testKey(5), []byte("five\n"))
-	if err := os.WriteFile(filepath.Join(dir, indexFileName), []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	d2 := openDisk(t, dir)
-	if got, ok := d2.Get(testKey(5)); !ok || !bytes.Equal(got, []byte("five\n")) {
-		t.Fatalf("scan fallback lost the artifact: %q, %v", got, ok)
+	if _, ok := d2.Get(newer); ok {
+		t.Fatal("the unread artifact outranked the recently read one")
 	}
 }
 
@@ -354,10 +324,9 @@ func TestWriteAtomicReplaces(t *testing.T) {
 }
 
 // FuzzArtifactDecode holds the never-panic line on the on-disk artifact
-// header and index formats — the surface a crashed or hostile writer can
-// hand the startup scan. Accepted artifacts must round-trip byte-exactly
-// (decode is strict, encode is canonical); accepted indexes must re-encode
-// cleanly.
+// format — the surface a crashed or hostile writer can hand the startup
+// scan. Accepted artifacts must round-trip byte-exactly (decode is strict,
+// encode is canonical).
 func FuzzArtifactDecode(f *testing.F) {
 	valid := encodeArtifact(testKey(3), []byte(`{"ok":true}`))
 	f.Add(valid)
@@ -369,9 +338,14 @@ func FuzzArtifactDecode(f *testing.F) {
 	flip := append([]byte(nil), valid...)
 	flip[len(flip)-2] ^= 0x01
 	f.Add(flip) // checksum mismatch
-	f.Add([]byte(`{"version":1,"entries":[{"spec_hash":"0123456789abcdef","seed":3,"file":"0123456789abcdef-0000000000000003.art","size":95}]}`))
-	f.Add([]byte(`{"version":99,"entries":[]}`))
-	f.Add([]byte(`{"version":1,"entries":[{"file":"../../etc/passwd.art"}]}`))
+	field := func(off int, b byte) []byte {
+		c := append([]byte(nil), valid...)
+		c[off] = b
+		return c
+	}
+	f.Add(field(8, 2))                    // unknown version
+	f.Add(field(12, 0))                   // zero hash length
+	f.Add(field(artifactHeaderSize, 'g')) // non-hex spec hash
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		k, body, err := decodeArtifact(data)
@@ -379,14 +353,6 @@ func FuzzArtifactDecode(f *testing.F) {
 			re := encodeArtifact(k, body)
 			if !bytes.Equal(re, data) {
 				t.Fatalf("artifact round-trip not canonical:\n%x\nvs\n%x", re, data)
-			}
-		}
-		idx, err := decodeIndex(data)
-		if err == nil {
-			for _, e := range idx.Entries {
-				if e.File != filepath.Base(e.File) {
-					t.Fatalf("accepted index entry escapes the store dir: %q", e.File)
-				}
 			}
 		}
 	})

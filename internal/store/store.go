@@ -7,11 +7,14 @@
 // bodies. DiskStore is the durable layer: one self-describing LSCATART file
 // per artifact (fixed header carrying the key, the body length and a SHA-256
 // of the body), atomic temp+fsync+rename writes, quarantine-on-corruption
-// and byte-budget LRU eviction. An advisory file lock (lock_unix.go)
-// serializes mutations so several processes — a server plus a sweep, or a
-// fleet of lscatter-worker shards — can share one artifact directory; a Get
-// that misses the in-memory index probes the canonical file name on disk and
-// adopts artifacts written by sibling processes.
+// and byte-budget LRU eviction. The artifact files are the DiskStore's only
+// index: a startup scan rebuilds the entries, and LRU recency is each file's
+// modification time, refreshed on every hit, so it survives restarts and is
+// shared by every process using the directory. An advisory file lock
+// (lock_unix.go) serializes mutations so several processes — a server plus a
+// sweep, or a fleet of lscatter-worker shards — can share one artifact
+// directory; a Get that misses the in-memory index probes the canonical file
+// name on disk and adopts artifacts written by sibling processes.
 //
 // Identical keys denote identical computations — every runner in this
 // repository is deterministic in (content, seed) — so a stored body can be
