@@ -2,16 +2,16 @@
 
 GO ?= go
 
-.PHONY: all ci test race vet docs-check fuzz-smoke golden-update resilience bench bench-compare rtf fleet-check dist-check figures examples examples-check served-check served-load cover clean
+.PHONY: all ci test race vet fmt-check docs-check fuzz-smoke golden-update resilience bench bench-compare rtf fleet-check dist-check figures examples examples-check served-check served-load cover clean
 
 all: vet test
 
-# The full gate a PR must pass: vet, the suite under the race detector, the
-# doc-comment check, the example-stdout goldens, the fleet-engine scaling
-# gate, both server smokes (end-to-end crash/restart, then load with required
-# coalesce + disk-hit evidence) and the distributed-execution smoke. Run it
-# before pushing.
-ci: vet race docs-check examples-check fleet-check served-check served-load dist-check
+# The full gate a PR must pass: vet, gofmt, the suite under the race
+# detector, the doc-comment check, the example-stdout goldens, the
+# fleet-engine scaling gate, both server smokes (end-to-end crash/restart,
+# then load with required coalesce + disk-hit evidence) and the
+# distributed-execution smoke. Run it before pushing.
+ci: vet fmt-check race docs-check examples-check fleet-check served-check served-load dist-check
 
 test:
 	$(GO) test ./...
@@ -23,6 +23,10 @@ race:
 
 vet:
 	$(GO) build ./... && $(GO) vet ./...
+
+# Every Go file must be gofmt-clean; gofmt -l prints the ones that are not.
+fmt-check:
+	test -z "$$(gofmt -l .)"
 
 # Every package and command must carry a doc comment (see tools/docscheck.sh).
 docs-check:
@@ -61,8 +65,8 @@ bench:
 # Diff two `lscatter-bench -metrics` reports (override OLD/NEW to compare
 # other runs); fails on an allocation regression beyond the threshold in
 # tools/benchdiff.
-OLD ?= BENCH_R2.json
-NEW ?= BENCH_R3.json
+OLD ?= BENCH_R3.json
+NEW ?= BENCH_R4.json
 bench-compare:
 	$(GO) run ./tools/benchdiff $(OLD) $(NEW)
 

@@ -25,9 +25,11 @@ const constraintLen = 7
 
 const numStates = 1 << (constraintLen - 1) // 64
 
+// branch holds the expected +1/-1 per kept bit (LLR sign convention) of one
+// trellis branch; only the first kept entries are used. The branch leaving
+// state s on input in enters state (s<<1|in) mod numStates.
 type branch struct {
-	next uint32
-	out  []float64 // expected +1/-1 per kept bit (LLR sign convention)
+	out [3]float64
 }
 
 // NewConvCodeR13 returns the rate-1/3 K=7 code.
@@ -50,7 +52,8 @@ func (c *ConvCode) initBranches() {
 	for s := uint32(0); s < numStates; s++ {
 		for in := uint32(0); in < 2; in++ {
 			reg := (s<<1 | in) & 0x7f
-			outs := make([]float64, 0, c.kept)
+			br := &c.branches[s][in]
+			k := 0
 			for g := 0; g < c.rate; g++ {
 				if !c.punct[g] {
 					continue
@@ -59,13 +62,12 @@ func (c *ConvCode) initBranches() {
 				v ^= v >> 4
 				v ^= v >> 2
 				v ^= v >> 1
+				br.out[k] = 1
 				if v&1 == 1 {
-					outs = append(outs, -1)
-				} else {
-					outs = append(outs, 1)
+					br.out[k] = -1
 				}
+				k++
 			}
-			c.branches[s][in] = branch{next: reg & (numStates - 1), out: outs}
 		}
 	}
 }
@@ -150,37 +152,51 @@ func (c *ConvCode) DecodeSoft(llr []float64) []byte {
 	}
 	// survivor[t*numStates+state] = (prevState<<1)|inputBit
 	survivor := scr.survivor[:steps*numStates]
-	metric, next := scr.metric[:], scr.next[:]
+	metric, next := &scr.metric, &scr.next
 	neg := math.Inf(-1)
 	for i := range metric {
 		metric[i] = neg
 	}
 	metric[0] = 0
+	three := c.kept == 3
 	for t := 0; t < steps; t++ {
-		for i := range next {
-			next[i] = neg
-		}
-		row := survivor[t*numStates : (t+1)*numStates]
+		row := (*[numStates]uint16)(survivor[t*numStates:])
 		sym := llr[t*c.kept : (t+1)*c.kept]
-		for s := uint32(0); s < numStates; s++ {
-			if metric[s] == neg {
-				continue
-			}
-			maxIn := uint32(1)
-			if t >= n {
-				maxIn = 0 // tail: only zero inputs
-			}
-			for in := uint32(0); in <= maxIn; in++ {
-				br := &c.branches[s][in]
-				m := metric[s]
-				for k, exp := range br.out {
-					m += exp * sym[k]
+		s0, s1, s2 := sym[0], sym[1], 0.0
+		if three {
+			s2 = sym[2]
+		}
+		tail := t >= n // tail steps feed only zero inputs
+		// Butterfly form: next state ns has the predecessors sa = ns>>1 and
+		// sb = sa|32, both on input ns&1, so the survivor entry sa<<1|in is
+		// ns itself and sb<<1|in is ns|64. Each candidate adds its terms in
+		// branch-output order, and the strict > with sa tried first gives
+		// ties to the lower predecessor. Unreached states hold -Inf, and a
+		// candidate from one sums to -Inf or NaN, which never compares
+		// greater, so they need no test. A state that no candidate wins
+		// (only possible with non-finite LLRs) still gets a survivor
+		// entry, so traceback never reads a row left by an earlier decode.
+		for ns := uint32(0); ns < numStates; ns++ {
+			sa, sb, in := ns>>1, ns>>1|numStates/2, ns&1
+			best, surv := neg, uint16(ns)
+			if in == 0 || !tail {
+				oa, ob := &c.branches[sa][in].out, &c.branches[sb][in].out
+				ma := metric[sa] + oa[0]*s0
+				ma += oa[1] * s1
+				mb := metric[sb] + ob[0]*s0
+				mb += ob[1] * s1
+				if three {
+					ma += oa[2] * s2
+					mb += ob[2] * s2
 				}
-				if m > next[br.next] {
-					next[br.next] = m
-					row[br.next] = uint16(s<<1 | in)
+				if ma > best {
+					best = ma
+				}
+				if mb > best {
+					best, surv = mb, uint16(ns|numStates)
 				}
 			}
+			next[ns], row[ns] = best, surv
 		}
 		metric, next = next, metric
 	}

@@ -309,6 +309,27 @@ func (f *FadingTrack) Apply(x []complex128) []complex128 {
 	return out
 }
 
+// Ricean fading with K = 7 dB: the line-of-sight amplitude riceanS and the
+// per-component scatter deviation riceanSigma give unit mean power.
+var (
+	riceanK     = math.Pow(10, 0.7)
+	riceanS     = math.Sqrt(riceanK / (riceanK + 1))
+	riceanSigma = math.Sqrt(1 / (2 * (riceanK + 1)))
+)
+
+// FadePower draws one unit-mean power fade: Ricean with K = 7 dB when los,
+// Rayleigh otherwise. Each draw takes two normal variates from r.
+func FadePower(r *rng.Source, los bool) float64 {
+	if los {
+		re := riceanS + riceanSigma*r.NormFloat64()
+		im := riceanSigma * r.NormFloat64()
+		return re*re + im*im
+	}
+	re := r.NormFloat64() / math.Sqrt2
+	im := r.NormFloat64() / math.Sqrt2
+	return re*re + im*im
+}
+
 // Combine sums any number of equally long propagation products (e.g. direct
 // path plus backscatter path) and adds receiver noise.
 func Combine(r *rng.Source, noisePowerW float64, paths ...[]complex128) []complex128 {

@@ -72,18 +72,46 @@ func (f *FIR) Reset() {
 // ProcessSample pushes one sample and returns one filtered output sample.
 func (f *FIR) ProcessSample(x complex128) complex128 {
 	f.state[f.pos] = x
+	acc := f.dot(f.pos)
+	f.pos++
+	if f.pos == len(f.state) {
+		f.pos = 0
+	}
+	return acc
+}
+
+// Push shifts one sample into the delay line without computing an output.
+// A decimator pushes every input sample and calls Output only for the
+// samples it keeps.
+func (f *FIR) Push(x complex128) {
+	f.state[f.pos] = x
+	f.pos++
+	if f.pos == len(f.state) {
+		f.pos = 0
+	}
+}
+
+// Output returns the filter output for the newest pushed sample: the same
+// sum, over the same taps in the same order, that ProcessSample returns, so
+// Push followed by Output equals ProcessSample bit for bit.
+func (f *FIR) Output() complex128 {
+	newest := f.pos - 1
+	if newest < 0 {
+		newest = len(f.state) - 1
+	}
+	return f.dot(newest)
+}
+
+// dot is the filter sum for the sample at delay-line index idx: taps in
+// order against the samples walking back from idx, wrapping at index 0.
+func (f *FIR) dot(idx int) complex128 {
 	var acc complex128
-	idx := f.pos
 	for _, t := range f.taps {
 		acc += f.state[idx] * complex(t, 0)
 		idx--
 		if idx < 0 {
 			idx = len(f.state) - 1
 		}
-	}
-	f.pos++
-	if f.pos == len(f.state) {
-		f.pos = 0
 	}
 	return acc
 }
@@ -107,34 +135,6 @@ func (f *FIR) ProcessInto(dst, x []complex128) []complex128 {
 		dst[i] = f.ProcessSample(v)
 	}
 	return dst
-}
-
-// Decimate low-pass-filters x (anti-aliasing at sampleRate/(2*factor)*0.8)
-// and keeps every factor-th sample, compensating the filter group delay so
-// output sample k corresponds to input sample k*factor.
-func Decimate(x []complex128, factor int, sampleRate float64) []complex128 {
-	if factor < 1 {
-		panic("dsp: Decimate factor < 1")
-	}
-	if factor == 1 {
-		return append([]complex128(nil), x...)
-	}
-	fir := LowPassFIR(0.8*sampleRate/(2*float64(factor)), sampleRate, 63)
-	delay := fir.GroupDelay()
-	out := make([]complex128, 0, len(x)/factor+1)
-	// Feed the block plus `delay` zeros so the delayed response is flushed.
-	for i := 0; i < len(x)+delay; i++ {
-		var v complex128
-		if i < len(x) {
-			v = x[i]
-		}
-		y := fir.ProcessSample(v)
-		j := i - delay
-		if j >= 0 && j%factor == 0 {
-			out = append(out, y)
-		}
-	}
-	return out
 }
 
 // RC models a single-pole RC low-pass filter (the tag's envelope smoothing

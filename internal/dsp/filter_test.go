@@ -74,33 +74,33 @@ func TestFIRStreamingMatchesBlock(t *testing.T) {
 	}
 }
 
-func TestDecimatePreservesBasebandTone(t *testing.T) {
-	const fs = 8e6
-	const factor = 4
-	x := tone(100e3, fs, 8000)
-	y := Decimate(x, factor, fs)
-	if len(y) != len(x)/factor {
-		t.Fatalf("decimated length = %d, want %d", len(y), len(x)/factor)
-	}
-	// The tone should appear at the same absolute frequency in the lower-rate
-	// stream. Measure via FFT peak.
-	seg := y[256:1280]
-	spec := FFT(append([]complex128(nil), seg...))
-	peak, _ := MaxAbsIndex(spec)
-	wantBin := int(100e3 / (fs / factor) * float64(len(seg)))
-	if peak != wantBin {
-		t.Fatalf("decimated tone at bin %d, want %d", peak, wantBin)
-	}
-}
-
-func TestDecimateFactorOneCopies(t *testing.T) {
-	x := tone(1e3, 1e6, 16)
-	y := Decimate(x, 1, 1e6)
-	if &y[0] == &x[0] {
-		t.Fatal("Decimate(1) aliased its input")
-	}
-	if e := maxErr(x, y); e != 0 {
-		t.Fatalf("Decimate(1) changed data by %v", e)
+// TestFIRPushOutputMatchesProcessSample checks that a decimator which pushes
+// every sample and computes only its kept outputs returns, bit for bit, what
+// ProcessSample returns for those samples, at every kept phase and across
+// delay-line wraps.
+func TestFIRPushOutputMatchesProcessSample(t *testing.T) {
+	r := rng.New(9)
+	x := randomVector(r, 700)
+	for _, ntaps := range []int{3, 63, 101} {
+		for _, factor := range []int{1, 2, 4, 8} {
+			for phase := 0; phase < factor; phase++ {
+				ref := LowPassFIR(0.1e6, 1e6, ntaps)
+				dec := LowPassFIR(0.1e6, 1e6, ntaps)
+				for i, v := range x {
+					want := ref.ProcessSample(v)
+					dec.Push(v)
+					if i%factor != phase {
+						continue
+					}
+					got := dec.Output()
+					if math.Float64bits(real(got)) != math.Float64bits(real(want)) ||
+						math.Float64bits(imag(got)) != math.Float64bits(imag(want)) {
+						t.Fatalf("%d taps, factor %d, phase %d: output %d = %v, want %v",
+							ntaps, factor, phase, i, got, want)
+					}
+				}
+			}
+		}
 	}
 }
 

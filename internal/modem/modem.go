@@ -189,48 +189,118 @@ func slice64(v float64) (b0, b1, b2 byte) {
 
 // DemapSoft produces per-bit LLRs (positive = bit 0 likely) using the
 // max-log approximation with the given noise variance.
+//
+// Every scheme maps its I and Q bits independently (BPSK's single Q level is
+// 0), so a point's squared distance is dI² + dQ². Rounded addition is
+// monotone, so the nearest point with a given bit value is, to the last bit,
+// the nearest level with that bit value on the bit's own axis plus the
+// nearest level on the other axis. The demapper computes each per-axis
+// squared distance once per symbol instead of every point distance per bit.
 func DemapSoft(s Scheme, syms []complex128, noiseVar float64) []float64 {
 	if noiseVar <= 0 {
 		noiseVar = 1e-12
 	}
 	bps := s.BitsPerSymbol()
-	points, bitsOf := constellationTable(s)
-	out := make([]float64, 0, len(syms)*bps)
-	for _, y := range syms {
-		for bit := 0; bit < bps; bit++ {
-			best0, best1 := math.Inf(1), math.Inf(1)
-			for pi, p := range points {
-				d := y - p
-				dist := real(d)*real(d) + imag(d)*imag(d)
-				if bitsOf[pi][bit] == 0 {
-					if dist < best0 {
-						best0 = dist
-					}
-				} else if dist < best1 {
-					best1 = dist
-				}
-			}
-			out = append(out, (best1-best0)/noiseVar)
+	ai, aq := &demapAxes[s][0], &demapAxes[s][1]
+	// Symbol bits alternate I, Q (BPSK has only I), so I bit j is bit
+	// j*iStride and Q bit j is bit 2j+1.
+	iStride := bps / ai.bits
+	out := make([]float64, len(syms)*bps)
+	var i0, i1, q0, q1 [3]float64
+	for n, y := range syms {
+		o := out[n*bps : (n+1)*bps]
+		allI := ai.nearest(real(y), &i0, &i1)
+		allQ := aq.nearest(imag(y), &q0, &q1)
+		for j := 0; j < ai.bits; j++ {
+			o[iStride*j] = ((i1[j] + allQ) - (i0[j] + allQ)) / noiseVar
+		}
+		for j := 0; j < aq.bits; j++ {
+			o[2*j+1] = ((allI + q1[j]) - (allI + q0[j])) / noiseVar
 		}
 	}
 	return out
 }
 
-// constellationTable enumerates every point of the scheme with its bits.
-func constellationTable(s Scheme) ([]complex128, [][]byte) {
-	bps := s.BitsPerSymbol()
-	n := 1 << bps
-	points := make([]complex128, n)
-	bitsOf := make([][]byte, n)
-	for v := 0; v < n; v++ {
-		b := make([]byte, bps)
-		for i := range b {
-			b[i] = byte(v >> (bps - 1 - i) & 1)
+// demapAxis is one axis of a constellation: its levels, indexed by the axis
+// bits with the first (most significant) axis bit first.
+type demapAxis struct {
+	levels []float64
+	bits   int
+}
+
+// nearest returns the smallest squared distance from v to any level, and
+// stores in min0[j] and min1[j] the smallest over the levels whose axis bit
+// j is 0 and 1. A NaN v leaves every minimum at +Inf, as a search that
+// takes only strictly smaller distances would; otherwise no distance is NaN
+// or -0, so the builtin min picks the same float64 that search would.
+func (a *demapAxis) nearest(v float64, min0, min1 *[3]float64) float64 {
+	all := math.Inf(1)
+	if math.IsNaN(v) {
+		for j := 0; j < a.bits; j++ {
+			min0[j], min1[j] = all, all
 		}
-		points[v] = MapSymbol(s, b)
-		bitsOf[v] = b
+		return all
 	}
-	return points, bitsOf
+	if a.bits == 1 { // two levels: each bit value has one
+		d0, d1 := v-a.levels[0], v-a.levels[1]
+		min0[0], min1[0] = d0*d0, d1*d1
+		return min(min0[0], min1[0])
+	}
+	var d2 [8]float64
+	for l, lv := range a.levels {
+		d := v - lv
+		d2[l] = d * d
+		all = min(all, d2[l])
+	}
+	for j := 0; j < a.bits; j++ {
+		bit := 1 << (a.bits - 1 - j)
+		m0, m1 := math.Inf(1), math.Inf(1)
+		for l := range a.levels {
+			if l&bit == 0 {
+				m0 = min(m0, d2[l])
+			} else {
+				m1 = min(m1, d2[l])
+			}
+		}
+		min0[j], min1[j] = m0, m1
+	}
+	return all
+}
+
+// demapAxes holds each scheme's I and Q axes.
+var demapAxes = [...][2]demapAxis{
+	BPSK:  newDemapAxes(BPSK),
+	QPSK:  newDemapAxes(QPSK),
+	QAM16: newDemapAxes(QAM16),
+	QAM64: newDemapAxes(QAM64),
+}
+
+// newDemapAxes reads the I and Q axis levels off MapSymbol, so the demapper
+// measures distances to exactly the points the mapper produces.
+func newDemapAxes(s Scheme) [2]demapAxis {
+	if s == BPSK {
+		p0, p1 := MapSymbol(s, []byte{0}), MapSymbol(s, []byte{1})
+		return [2]demapAxis{
+			{levels: []float64{real(p0), real(p1)}, bits: 1},
+			{levels: []float64{imag(p0)}},
+		}
+	}
+	bps := s.BitsPerSymbol()
+	m := bps / 2
+	ax := [2]demapAxis{
+		{levels: make([]float64, 1<<m), bits: m},
+		{levels: make([]float64, 1<<m), bits: m},
+	}
+	b := make([]byte, bps)
+	for l := range ax[0].levels {
+		for j := 0; j < m; j++ {
+			b[2*j] = byte(l >> (m - 1 - j) & 1)
+			b[2*j+1] = b[2*j]
+		}
+		p := MapSymbol(s, b)
+		ax[0].levels[l], ax[1].levels[l] = real(p), imag(p)
+	}
+	return ax
 }
 
 // EVM returns the root-mean-square error-vector magnitude (as a fraction of

@@ -200,11 +200,95 @@ func BenchmarkMapQAM64(b *testing.B) {
 	}
 }
 
-func BenchmarkDemapSoftQAM16(b *testing.B) {
+// benchDemap times a soft demapper over 1000 noiseless symbols.
+func benchDemap(b *testing.B, s Scheme, demap func(Scheme, []complex128, float64) []float64) {
 	r := rng.New(1)
-	syms := Map(QAM16, r.Bits(make([]byte, 4000)))
+	syms := Map(s, r.Bits(make([]byte, 1000*s.BitsPerSymbol())))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		DemapSoft(QAM16, syms, 0.1)
+		demap(s, syms, 0.1)
+	}
+}
+
+func BenchmarkDemapSoftQAM16(b *testing.B)          { benchDemap(b, QAM16, DemapSoft) }
+func BenchmarkDemapSoftQAM16Reference(b *testing.B) { benchDemap(b, QAM16, demapSoftReference) }
+func BenchmarkDemapSoftQAM64(b *testing.B)          { benchDemap(b, QAM64, DemapSoft) }
+func BenchmarkDemapSoftQAM64Reference(b *testing.B) { benchDemap(b, QAM64, demapSoftReference) }
+
+// demapSoftReference is the per-bit max-log demapper DemapSoft replaced: for
+// every bit it searches all constellation points for the nearest point with
+// that bit 0 and with that bit 1. It is the reference DemapSoft must match
+// bit for bit.
+func demapSoftReference(s Scheme, syms []complex128, noiseVar float64) []float64 {
+	if noiseVar <= 0 {
+		noiseVar = 1e-12
+	}
+	bps := s.BitsPerSymbol()
+	points, bitsOf := constellationTable(s)
+	out := make([]float64, 0, len(syms)*bps)
+	for _, y := range syms {
+		for bit := 0; bit < bps; bit++ {
+			best0, best1 := math.Inf(1), math.Inf(1)
+			for pi, p := range points {
+				d := y - p
+				dist := real(d)*real(d) + imag(d)*imag(d)
+				if bitsOf[pi][bit] == 0 {
+					if dist < best0 {
+						best0 = dist
+					}
+				} else if dist < best1 {
+					best1 = dist
+				}
+			}
+			out = append(out, (best1-best0)/noiseVar)
+		}
+	}
+	return out
+}
+
+// constellationTable enumerates every point of the scheme with its bits.
+func constellationTable(s Scheme) ([]complex128, [][]byte) {
+	bps := s.BitsPerSymbol()
+	n := 1 << bps
+	points := make([]complex128, n)
+	bitsOf := make([][]byte, n)
+	for v := 0; v < n; v++ {
+		b := make([]byte, bps)
+		for i := range b {
+			b[i] = byte(v >> (bps - 1 - i) & 1)
+		}
+		points[v] = MapSymbol(s, b)
+		bitsOf[v] = b
+	}
+	return points, bitsOf
+}
+
+func TestDemapSoftMatchesReference(t *testing.T) {
+	r := rng.New(13)
+	inf, nan := math.Inf(1), math.NaN()
+	edge := []complex128{
+		0, complex(math.Copysign(0, -1), math.Copysign(0, -1)), 1e300 + 1e300i, -1e-300,
+		complex(nan, 0.3), complex(-0.2, nan), complex(inf, -inf), complex(-inf, 0.5),
+	}
+	for _, s := range []Scheme{BPSK, QPSK, QAM16, QAM64} {
+		syms := Map(s, r.Bits(make([]byte, 500*s.BitsPerSymbol())))
+		for i := range syms {
+			// Noise from faint to far beyond the constellation, so every
+			// level wins on each axis.
+			syms[i] += r.Complex(math.Pow(10, r.Float64()*4-3))
+		}
+		syms = append(syms, edge...)
+		for _, nv := range []float64{0.1, 3e-4, 0, -1} {
+			got, want := DemapSoft(s, syms, nv), demapSoftReference(s, syms, nv)
+			if len(got) != len(want) {
+				t.Fatalf("%v: %d LLRs, want %d", s, len(got), len(want))
+			}
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%v noiseVar %v: LLR %d (symbol %v) = %v, want %v",
+						s, nv, i, syms[i/s.BitsPerSymbol()], got[i], want[i])
+				}
+			}
+		}
 	}
 }

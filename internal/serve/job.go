@@ -346,17 +346,20 @@ func (m *Manager) retireLocked(job *Job) {
 }
 
 // finishJob moves a job to a terminal state and, when this call made the
-// transition, counts a cancellation and retires the job.
+// transition, counts a cancellation and retires the job. The transition
+// runs under the manager lock, so the job is retired by the time its
+// Finished channel wakes anyone: a client that waits for one job and then
+// submits the next finds the job table in finish order.
 func (m *Manager) finishJob(j *Job, state State, body []byte, errMsg string) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	if !j.finish(state, body, errMsg) {
 		return
 	}
-	m.mu.Lock()
 	if state == Canceled {
 		m.counters.Canceled++
 	}
 	m.retireLocked(j)
-	m.mu.Unlock()
 }
 
 // Submit validates nothing — the caller passes a normalized spec — and

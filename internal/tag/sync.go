@@ -93,14 +93,14 @@ type SyncCircuit struct {
 	env       *dsp.RC
 	avg       *dsp.RC
 	comp      *dsp.Comparator
-	firs      []*dsp.FIR // cascade anti-alias filters (streaming)
-	phase     []int      // per-stage decimation phase counters
-	state     bool       // last comparator output (for edge detect)
-	samplesIn int        // total oversampled samples consumed
-	warmup    int        // decimated samples to ignore while averaging settles
-	seen      int        // decimated samples processed
-	holdoff   int        // decimated samples to suppress re-triggering
-	lastDet   int        // seen-counter at the last detection
+	firs      []*dsp.FIR  // cascade anti-alias filters (streaming)
+	phase     []int       // per-stage decimation phase counters
+	state     bool        // last comparator output (for edge detect)
+	samplesIn int         // total oversampled samples consumed
+	warmup    int         // decimated samples to ignore while averaging settles
+	seen      int         // decimated samples processed
+	holdoff   int         // decimated samples to suppress re-triggering
+	lastDet   int         // seen-counter at the last detection
 	jitter    *rng.Source // detection-instant jitter (nil when disabled)
 	trace     *SyncTrace
 }
@@ -176,58 +176,64 @@ func (s *SyncCircuit) Trace() *SyncTrace { return s.trace }
 // circuit keeps state across calls, so consecutive blocks form one stream.
 func (s *SyncCircuit) Process(x []complex128) []Detection {
 	var dets []Detection
-	ratio := int(s.params.SampleRate() / s.decimRate)
 	for _, v := range x {
 		s.samplesIn++
-		// Cascaded decimation.
+		// Cascaded decimation: every stage shifts each of its input samples
+		// into its delay line but computes only the outputs it keeps.
 		keep := true
-		for st := range s.firs {
-			v = s.firs[st].ProcessSample(v)
+		for st, fir := range s.firs {
+			fir.Push(v)
 			s.phase[st]++
 			if s.phase[st] < s.decim[st] {
 				keep = false
 				break
 			}
 			s.phase[st] = 0
+			v = fir.Output()
 		}
-		if !keep {
-			continue
+		if keep {
+			dets = s.detect(v, dets)
 		}
-		// Narrowband matching network, envelope, averaging, comparator.
-		nb := s.front.ProcessSample(v)
-		env := s.env.ProcessSample(cmplx.Abs(nb))
-		ref := s.avg.ProcessSample(env)
-		out := s.comp.ProcessSample(env, ref*s.cfg.TripFactor)
-		s.seen++
-		if s.trace != nil {
-			s.trace.Envelope = append(s.trace.Envelope, env)
-			s.trace.Average = append(s.trace.Average, ref)
-			b := byte(0)
-			if out {
-				b = 1
-			}
-			s.trace.Comparator = append(s.trace.Comparator, b)
-		}
-		if out && !s.state && s.seen > s.warmup && s.seen-s.lastDet >= s.holdoff {
-			s.lastDet = s.seen
-			idx := s.samplesIn - 1
-			if s.jitter != nil {
-				// Comparator trip-point noise: perturb the reported instant
-				// without disturbing the circuit's internal state.
-				idx += int(math.Round(s.jitter.NormFloat64() *
-					s.cfg.TimingJitterRMS * s.params.SampleRate()))
-				if idx < 0 {
-					idx = 0
-				}
-			}
-			dets = append(dets, Detection{
-				SampleIndex: idx,
-				Time:        float64(idx) / s.params.SampleRate(),
-			})
-		}
-		s.state = out
-		_ = ratio
 	}
+	return dets
+}
+
+// detect runs one decimated sample through the narrowband matching network,
+// envelope, averaging network and comparator, appending a Detection to dets
+// on a comparator rising edge.
+func (s *SyncCircuit) detect(v complex128, dets []Detection) []Detection {
+	nb := s.front.ProcessSample(v)
+	env := s.env.ProcessSample(cmplx.Abs(nb))
+	ref := s.avg.ProcessSample(env)
+	out := s.comp.ProcessSample(env, ref*s.cfg.TripFactor)
+	s.seen++
+	if s.trace != nil {
+		s.trace.Envelope = append(s.trace.Envelope, env)
+		s.trace.Average = append(s.trace.Average, ref)
+		b := byte(0)
+		if out {
+			b = 1
+		}
+		s.trace.Comparator = append(s.trace.Comparator, b)
+	}
+	if out && !s.state && s.seen > s.warmup && s.seen-s.lastDet >= s.holdoff {
+		s.lastDet = s.seen
+		idx := s.samplesIn - 1
+		if s.jitter != nil {
+			// Comparator trip-point noise: perturb the reported instant
+			// without disturbing the circuit's internal state.
+			idx += int(math.Round(s.jitter.NormFloat64() *
+				s.cfg.TimingJitterRMS * s.params.SampleRate()))
+			if idx < 0 {
+				idx = 0
+			}
+		}
+		dets = append(dets, Detection{
+			SampleIndex: idx,
+			Time:        float64(idx) / s.params.SampleRate(),
+		})
+	}
+	s.state = out
 	return dets
 }
 

@@ -172,3 +172,95 @@ func TestNominalDelayPositiveAndSmall(t *testing.T) {
 		t.Fatalf("nominal delay = %v s, want (0, 500us]", d)
 	}
 }
+
+// processReference is the Process that SyncCircuit had before its decimator
+// computed only kept outputs: every cascade stage filters every input sample
+// and then drops the outputs its phase does not keep. Process must match it
+// bit for bit.
+func processReference(s *SyncCircuit, x []complex128) []Detection {
+	var dets []Detection
+	for _, v := range x {
+		s.samplesIn++
+		keep := true
+		for st := range s.firs {
+			v = s.firs[st].ProcessSample(v)
+			s.phase[st]++
+			if s.phase[st] < s.decim[st] {
+				keep = false
+				break
+			}
+			s.phase[st] = 0
+		}
+		if keep {
+			dets = s.detect(v, dets)
+		}
+	}
+	return dets
+}
+
+// syncStream returns n subframes of the default eNodeB waveform at bw with
+// AWGN of power noiseW.
+func syncStream(bw ltephy.Bandwidth, n int, noiseW float64, seed uint64) (ltephy.Params, []complex128) {
+	cfg := enodeb.DefaultConfig(bw)
+	e := enodeb.New(cfg)
+	var x []complex128
+	for i := 0; i < n; i++ {
+		x = append(x, e.NextSubframe().Samples...)
+	}
+	channel.AWGN(rng.New(seed), x, noiseW)
+	return cfg.Params, x
+}
+
+func TestSyncProcessMatchesReference(t *testing.T) {
+	for _, bw := range []ltephy.Bandwidth{ltephy.BW1_4, ltephy.BW5, ltephy.BW20} {
+		p, x := syncStream(bw, 12, 1e-3, uint64(bw)+1)
+		cfg := SyncConfig{Trace: true, TimingJitterRMS: 2e-6, JitterSeed: 5}
+		got, want := NewSyncCircuit(p, cfg), NewSyncCircuit(p, cfg)
+		if len(got.decim) == 0 {
+			t.Fatalf("%v: no decimation stage to compare", bw)
+		}
+		// Uneven blocks, so stages carry their phase across calls.
+		r := rng.New(uint64(bw))
+		var gd, wd []Detection
+		for len(x) > 0 {
+			n := min(len(x), 1+r.Intn(50000))
+			gd = append(gd, got.Process(x[:n])...)
+			wd = append(wd, processReference(want, x[:n])...)
+			x = x[n:]
+		}
+		if len(wd) == 0 {
+			t.Fatalf("%v: reference made no detections", bw)
+		}
+		if len(gd) != len(wd) {
+			t.Fatalf("%v: %d detections, reference %d", bw, len(gd), len(wd))
+		}
+		for i := range wd {
+			if gd[i].SampleIndex != wd[i].SampleIndex || math.Float64bits(gd[i].Time) != math.Float64bits(wd[i].Time) {
+				t.Fatalf("%v: detection %d = %+v, reference %+v", bw, i, gd[i], wd[i])
+			}
+		}
+		gt, wt := got.Trace(), want.Trace()
+		if len(gt.Envelope) != len(wt.Envelope) || string(gt.Comparator) != string(wt.Comparator) {
+			t.Fatalf("%v: trace lengths or comparator outputs differ from reference", bw)
+		}
+		for i := range wt.Envelope {
+			if math.Float64bits(gt.Envelope[i]) != math.Float64bits(wt.Envelope[i]) ||
+				math.Float64bits(gt.Average[i]) != math.Float64bits(wt.Average[i]) {
+				t.Fatalf("%v: trace sample %d differs from reference", bw, i)
+			}
+		}
+	}
+}
+
+// benchSync times a sync-circuit Process over 5 ms of a 20 MHz stream.
+func benchSync(b *testing.B, process func(*SyncCircuit, []complex128) []Detection) {
+	p, x := syncStream(ltephy.BW20, 5, 0, 1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		process(NewSyncCircuit(p, SyncConfig{}), x)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(x)), "ns/sample")
+}
+
+func BenchmarkSyncProcess(b *testing.B)          { benchSync(b, (*SyncCircuit).Process) }
+func BenchmarkSyncProcessReference(b *testing.B) { benchSync(b, processReference) }
